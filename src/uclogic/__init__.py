@@ -21,7 +21,7 @@ from .algorithms import (
     rrd,
     sat,
 )
-from .decide import SignCondition, approximate, exists_sat, lower_envelope_max
+from .decide import SignCondition, exists_sat, lower_envelope_max
 from .errors import GateLimitError, ParseError, UCLError
 from .formulas import (
     App,
@@ -81,7 +81,6 @@ __all__ = [
     "Var",
     "WitnessResult",
     "apply_pattern",
-    "approximate",
     "arr",
     "count_roots",
     "enta",

@@ -95,6 +95,10 @@ class _Runner:
         if self.max_gates is None:
             env = os.environ.get("UCL_MAX_GATES")
             self.max_gates = int(env) if env else DEFAULT_MAX_GATES
+        if self.max_gates < 0:
+            raise ValueError(
+                f"the gate limit must be non-negative, got {self.max_gates}"
+            )
 
     def formula(self):
         return parse_cformula(self.args.formula)
@@ -272,7 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=_fraction, default=Fraction(1, 10**6),
                        help="approximation tolerance for decimal annotations")
         p.add_argument("--max-gates", type=int, default=None,
-                       help="unreliable-gate limit (default 24; env UCL_MAX_GATES)")
+                       help="unreliable-gate limit, which bounds the degree of "
+                            "success polynomials and the 2^count rows of "
+                            "'outcomes' (default 24; env UCL_MAX_GATES)")
 
     p = sub.add_parser("entails", help="ambition-constrained validity")
     common(p)

@@ -239,8 +239,3 @@ def lower_envelope_max(
             attained = True
             break
     return sup, argmax, attained
-
-
-def approximate(a: AlgebraicNumber, eps) -> Fraction:
-    """Rational within eps of a (bisection refinement of the isolator)."""
-    return a.approximate(eps)

@@ -16,12 +16,12 @@ class ParseError(UCLError):
 
 
 class GateLimitError(UCLError):
-    """Outcome enumeration refused: too many unreliable gates."""
+    """Formula refused: more unreliable gates than the limit allows."""
 
     def __init__(self, count: int, limit: int):
         self.count = count
         self.limit = limit
         super().__init__(
             f"formula has {count} unreliable gates, exceeding the limit of "
-            f"{limit}; raise the limit explicitly to proceed (cost is 2^{count})"
+            f"{limit}; raise the limit explicitly to proceed"
         )

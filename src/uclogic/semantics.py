@@ -3,6 +3,12 @@
 The reliability rate of a single gate is the polynomial variable ``nu``; a
 misfire pattern of width m with l correct gates has probability
 nu^l (1-nu)^(m-l), stored in expanded dense form.
+
+Success polynomials are computed bottom-up without listing outcomes: gates
+misfire independently and a formula is a tree, so sibling subformulas share
+no gate and their misfire-pattern counts combine by convolution.  Outcomes
+are enumerated (2^m of them) only where they are the output: `outcomes` and
+o-formulas.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from math import comb
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import GateLimitError, ParseError
-from .formulas import CFormula, apply_pattern, eval_pl, fau, variables
+from .formulas import App, CFormula, apply_pattern, eval_pl, fau, variables
 from .polynomials import Polynomial, parse_polynomial
 
 DEFAULT_MAX_GATES = 24
@@ -27,14 +33,22 @@ class Outcome:
     probability: Polynomial
 
 
+def _expand(counts: Sequence[int]) -> Polynomial:
+    """Expanded sum of counts[l] * nu^l (1-nu)^(m-l), m = len(counts) - 1."""
+    m = len(counts) - 1
+    coeffs = [0] * (m + 1)
+    for l, c in enumerate(counts):
+        if c:
+            for j in range(m - l + 1):
+                coeffs[l + j] += c * comb(m - l, j) * (-1) ** j
+    return Polynomial(coeffs)
+
+
 def pattern_probability(pattern: Sequence[bool]) -> Polynomial:
     """Expanded nu^l (1-nu)^(m-l) where l = number of False (correct) bits."""
-    m = len(pattern)
-    l = sum(1 for b in pattern if not b)
-    coeffs = [Fraction(0)] * (m + 1)
-    for j in range(m - l + 1):
-        coeffs[l + j] += comb(m - l, j) * (-1) ** j
-    return Polynomial(coeffs)
+    counts = [0] * (len(pattern) + 1)
+    counts[sum(1 for b in pattern if not b)] = 1
+    return _expand(counts)
 
 
 def outcome_probability(psi: CFormula, pattern: Sequence[bool]) -> Polynomial:
@@ -43,15 +57,93 @@ def outcome_probability(psi: CFormula, pattern: Sequence[bool]) -> Polynomial:
     return pattern_probability(pattern)
 
 
+def _gate_count(psi: CFormula, max_gates: int) -> int:
+    """Number of unreliable gates of psi, refused when above max_gates."""
+    m = len(fau(psi))
+    if m > max_gates:
+        raise GateLimitError(m, max_gates)
+    return m
+
+
 def outcomes(
     psi: CFormula, max_gates: int = DEFAULT_MAX_GATES
 ) -> Iterator[Outcome]:
     """All 2^m outcomes in pattern-lexicographic order (False < True)."""
-    m = len(fau(psi))
-    if m > max_gates:
-        raise GateLimitError(m, max_gates)
+    m = _gate_count(psi, max_gates)
     for bits in itertools.product((False, True), repeat=m):
         yield Outcome(bits, apply_pattern(psi, bits), pattern_probability(bits))
+
+
+# Truth of each connective from the number c of its true arguments (n is
+# the arity), once imp and nimp have negated their first argument:
+# imp(a, b) = or(not a, b) and nimp(a, b) = nor(not a, b).
+_TRUE_WHEN = {
+    "not": lambda c, n: c == 0,
+    "id": lambda c, n: c == 1,
+    "and": lambda c, n: c == n,
+    "nand": lambda c, n: c < n,
+    "or": lambda c, n: c > 0,
+    "nor": lambda c, n: c == 0,
+    "imp": lambda c, n: c > 0,
+    "nimp": lambda c, n: c == 0,
+    "iff": lambda c, n: c != 1,
+    "xor": lambda c, n: c == 1,
+    "maj": lambda c, n: 2 * c > n,
+    "nmaj": lambda c, n: 2 * c <= n,
+}
+
+
+def _convolve_into(acc: list[int], a: Sequence[int], b: Sequence[int]) -> None:
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                acc[i + j] += x * y
+
+
+def _pattern_counts(
+    node: CFormula, valuation: Mapping[str, bool]
+) -> tuple[list[int], list[int]]:
+    """(t, f): over the misfire patterns of the k unreliable gates inside
+    node, t[l] (f[l]) counts those with exactly l correct gates under which
+    node is True (False), so t[l] + f[l] = C(k, l)."""
+    if not isinstance(node, App):
+        return ([1], [0]) if eval_pl(node, valuation) else ([0], [1])
+    conn = node.conn
+    # by_count[c][l]: patterns of the arguments so far with c of them True
+    by_count = [[1]]
+    for i, arg in enumerate(node.args):
+        t, f = _pattern_counts(arg, valuation)
+        if i == 0 and conn.kind in ("imp", "nimp"):
+            t, f = f, t
+        if len(t) == 1:  # no gate inside: the argument only shifts the count
+            zero = [0] * len(by_count[0])
+            by_count = [zero] + by_count if t[0] else by_count + [zero]
+            continue
+        width = len(by_count[0]) + len(t) - 1
+        nxt = [[0] * width for _ in range(len(by_count) + 1)]
+        for c, d in enumerate(by_count):
+            _convolve_into(nxt[c], d, f)
+            _convolve_into(nxt[c + 1], d, t)
+        by_count = nxt
+    t = [0] * len(by_count[0])
+    f = [0] * len(by_count[0])
+    for c, d in enumerate(by_count):
+        acc = t if _TRUE_WHEN[conn.kind](c, conn.arity) else f
+        for l, x in enumerate(d):
+            acc[l] += x
+    if conn.unreliable:
+        # a correct gate adds one to l and keeps the value; a misfire flips it
+        t, f = (
+            [a + b for a, b in zip([0] + t, f + [0])],
+            [a + b for a, b in zip([0] + f, t + [0])],
+        )
+    return t, f
+
+
+def _success(psi: CFormula, valuation: Mapping[str, bool], gates: int) -> Polynomial:
+    if not gates:  # a PL formula: the indicator of its truth value
+        return _expand([int(eval_pl(psi, valuation))])
+    return _expand(_pattern_counts(psi, valuation)[0])
 
 
 def success_polynomial(
@@ -60,11 +152,7 @@ def success_polynomial(
     max_gates: int = DEFAULT_MAX_GATES,
 ) -> Polynomial:
     """Aggregated probability of the outcomes of psi satisfied by the valuation."""
-    acc = Polynomial()
-    for o in outcomes(psi, max_gates=max_gates):
-        if eval_pl(o.formula, valuation):
-            acc = acc + o.probability
-    return acc
+    return _success(psi, valuation, _gate_count(psi, max_gates))
 
 
 def canonical_valuations(names: Sequence[str]) -> Iterator[dict[str, bool]]:
@@ -77,16 +165,9 @@ def canonical_valuations(names: Sequence[str]) -> Iterator[dict[str, bool]]:
 def success_table(
     psi: CFormula, max_gates: int = DEFAULT_MAX_GATES
 ) -> list[tuple[dict[str, bool], Polynomial]]:
-    """Success polynomial per valuation, canonical order, outcomes shared."""
-    outs = list(outcomes(psi, max_gates=max_gates))
-    table = []
-    for v in canonical_valuations(sorted(variables(psi))):
-        acc = Polynomial()
-        for o in outs:
-            if eval_pl(o.formula, v):
-                acc = acc + o.probability
-        table.append((v, acc))
-    return table
+    """Success polynomial per valuation, canonical order."""
+    m = _gate_count(psi, max_gates)
+    return [(v, _success(psi, v, m)) for v in canonical_valuations(variables(psi))]
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,45 @@ def test_gate_guard_env_override(capsys, monkeypatch):
     assert code == 0
 
 
+def test_gate_guard_exits_three_on_query_command(capsys):
+    code, _, err = run(
+        capsys, "entails", "-f", "(and? (and? x y) (and? x y))",
+        "--max-gates", "2",
+    )
+    assert code == 3
+    assert "3 unreliable gates, exceeding the limit of 2" in err
+    assert "2^" not in err
+
+
+def test_negative_gate_limit_exits_two(capsys, monkeypatch):
+    code, _, err = run(capsys, "sat", "-f", "x", "--max-gates", "-1")
+    assert code == 2 and "non-negative" in err
+    monkeypatch.setenv("UCL_MAX_GATES", "-1")
+    code, _, err = run(capsys, "sat", "-f", "x")
+    assert code == 2 and "non-negative" in err
+    code, _, _ = run(capsys, "sat", "-f", "x", "--max-gates", "0")
+    assert code == 0
+
+
+def test_query_commands_do_not_enumerate_outcomes(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("outcomes enumerated")
+
+    monkeypatch.setattr("uclogic.semantics.outcomes", refuse)
+    psi = "(iff (or? x1 x2) (or x1 x2))"
+    for argv in (
+        ["entails", "-f", psi, "--gamma", "mu <= nu"],
+        ["sat", "-f", psi],
+        ["witness", "-f", psi],
+        ["abduce", "-f", psi, "--mu", "7/10", "--k", "2"],
+        ["decide-rate", "-f", psi, "--mu", "7/10"],
+        ["optimize", "-f", psi],
+        ["eval", "-f", psi, "--assign", "x1=1,x2=0", "--nu", "3/4", "--mu", "3/4"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1), (argv, err)
+
+
 def test_json_has_timing_and_eps(capsys):
     code, doc = run_json(capsys, "sat", "-f", "x", "--eps", "1/1000")
     assert code == 0

@@ -2,10 +2,23 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from formula_gen import random_cformula
 from uclogic.errors import GateLimitError
-from uclogic.formulas import format_cformula, parse_cformula, variables
+from uclogic.formulas import (
+    App,
+    CFormula,
+    Connective,
+    Const,
+    Var,
+    eval_pl,
+    fau,
+    format_cformula,
+    parse_cformula,
+    variables,
+)
 from uclogic.polynomials import ONE, Polynomial, parse_polynomial
 from uclogic.semantics import (
     AmbitionFormula,
@@ -154,11 +167,110 @@ def test_satisfies_outcome_formula_rejects_non_outcomes():
         satisfies(Interpretation({"x": True}, F(3, 4), F(3, 4)), phi)
 
 
+# every connective, with the wider majorities
+_KINDS = [
+    ("not", 1), ("id", 1), ("and", 2), ("nand", 2), ("or", 2), ("nor", 2),
+    ("imp", 2), ("nimp", 2), ("iff", 2), ("xor", 2), ("maj", 3), ("nmaj", 3),
+    ("maj", 5), ("nmaj", 5), ("maj", 7),
+]
+_NAMES = ("x1", "x2", "x3")
+
+
+def _formula_with_gates(rng: random.Random, m: int) -> CFormula:
+    """Random formula with exactly m unreliable among m..m+4 gates."""
+    total = m + rng.randint(0, 4)
+    flags = [True] * m + [False] * (total - m)
+    rng.shuffle(flags)
+
+    def build(budget: int) -> CFormula:
+        if budget == 0:
+            if rng.random() < 0.2:
+                return Const(rng.random() < 0.5)
+            return Var(rng.choice(_NAMES))
+        kind, arity = rng.choice(_KINDS)
+        conn = Connective(kind, arity, flags.pop())
+        cuts = sorted(rng.randint(0, budget - 1) for _ in range(arity - 1))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [budget - 1])]
+        return App(conn, tuple(build(k) for k in sizes))
+
+    return build(total)
+
+
+def _enumerated_success(psi: CFormula) -> list[tuple[dict, Polynomial]]:
+    """Per valuation, the summed probability of the outcomes it satisfies."""
+    outs = list(outcomes(psi))
+    table = []
+    for v in canonical_valuations(variables(psi)):
+        acc = Polynomial()
+        for o in outs:
+            if eval_pl(o.formula, v):
+                acc = acc + o.probability
+        table.append((v, acc))
+    return table
+
+
+def _assert_matches_enumeration(psi: CFormula) -> None:
+    expected = _enumerated_success(psi)
+    assert success_table(psi) == expected
+    for v, p in expected:
+        assert success_polynomial(psi, v) == p
+
+
+def _connectives(f: CFormula) -> set[tuple[str, int]]:
+    if not isinstance(f, App):
+        return set()
+    out = {(f.conn.kind, f.conn.arity)}
+    for a in f.args:
+        out |= _connectives(a)
+    return out
+
+
 def test_success_table_matches_pointwise_definition():
     rng = random.Random(31)
-    for _ in range(10):
-        psi = random_cformula(rng, max_gates=5)
-        table = success_table(psi)
-        assert len(table) == 2 ** len(variables(psi))
-        for v, p in table:
-            assert p == success_polynomial(psi, v)
+    seen: set[tuple[str, int]] = set()
+    has_const = False
+    for m in range(11):
+        for _ in range(2):
+            psi = _formula_with_gates(rng, m)
+            assert len(fau(psi)) == m
+            seen |= _connectives(psi)
+            has_const |= "T" in format_cformula(psi) or "F" in format_cformula(psi)
+            _assert_matches_enumeration(psi)
+    assert seen == set(_KINDS) and has_const
+
+
+def _apps(children):
+    conns = st.sampled_from(
+        [Connective(k, a, u) for k, a in _KINDS for u in (False, True)]
+    )
+    return conns.flatmap(
+        lambda conn: st.tuples(*[children] * conn.arity).map(
+            lambda args: App(conn, args)
+        )
+    )
+
+
+_FORMULAS = st.recursive(
+    st.one_of(st.sampled_from([Var(n) for n in _NAMES]), st.builds(Const, st.booleans())),
+    _apps,
+    max_leaves=14,
+)
+
+
+@given(_FORMULAS)
+@settings(max_examples=80, deadline=None)
+def test_success_table_matches_enumeration_hypothesis(psi):
+    assume(len(fau(psi)) <= 8)
+    _assert_matches_enumeration(psi)
+
+
+def test_success_table_of_long_gate_chain_matches_closed_form():
+    psi = parse_cformula("(not? " * 40 + "x" + ")" * 40)
+    with pytest.raises(GateLimitError):
+        success_table(psi)
+    # the output is right iff an even number of the 40 gates misfire
+    even = (ONE - parse_polynomial("2*nu")) ** 40
+    assert success_table(psi, max_gates=64) == [
+        ({"x": False}, (ONE - even).scale(F(1, 2))),
+        ({"x": True}, (ONE + even).scale(F(1, 2))),
+    ]
