@@ -1,9 +1,10 @@
 """The five reasoning procedures for circuits with unreliable gates.
 
 Each procedure builds per-valuation success polynomials and dispatches
-univariate sign queries to the exact kernel.  The required success rate mu
-never reaches the kernel: it is bounded only from below by strict terms and
-from above by non-strict terms, so it is eliminated symbolically (see enta).
+univariate sign queries to the exact kernel, once per distinct polynomial,
+since many valuations share one.  The required success rate mu never
+reaches the kernel: it is bounded only from below by strict terms and from
+above by non-strict terms, so it is eliminated symbolically (see enta).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from math import ceil
 from typing import Mapping, Optional, Sequence
 
 from .algebraic import AlgebraicNumber
-from .decide import SignCondition, exists_sat, lower_envelope_max
+from .decide import SignCondition, exists_sat, lower_envelope_max, positive_cells
 from .formulas import CFormula, variables
 from .polynomials import ONE, Polynomial, simplest_between
 from .roots import Interval
@@ -68,12 +69,15 @@ def enta(query: EntaQuery, max_gates: int = DEFAULT_MAX_GATES) -> bool:
     every upper bound strictly exceeds every lower bound; that is a single
     conjunction of sign conditions in nu alone.
     """
-    bounds = [g.bound for g in query.gamma]
-    for _, p in success_table(query.psi, max_gates=max_gates):
+    bounds = [
+        (g.bound, SignCondition(g.bound - Polynomial.constant(HALF), ">"))
+        for g in query.gamma
+    ]
+    table = success_table(query.psi, max_gates=max_gates)
+    for p in dict.fromkeys(p for _, p in table):
         conds = [SignCondition(ONE - p, ">")]
-        for b in bounds:
-            conds.append(SignCondition(b - p, ">"))
-            conds.append(SignCondition(b - Polynomial.constant(HALF), ">"))
+        for b, above_half in bounds:
+            conds += [SignCondition(b - p, ">"), above_half]
         found, _ = exists_sat(conds, _HALF_OPEN_UNIT)
         if found:
             return False
@@ -105,14 +109,18 @@ def pmc(
 
     Faithful mode returns the witness produced by checking nu = 1 first and
     then enumerating fractions nu1/nu2 by growing denominator; fast mode
-    returns the kernel's cell witness directly.
+    returns the kernel's cell witness directly.  Valuations keep their order,
+    since the witness depends on it; a polynomial that failed is not retried.
     """
     if mode not in ("faithful", "fast"):
         raise ValueError(f"unknown mode {mode!r}")
     table = success_table(psi, max_gates=max_gates)
     by_val = {tuple(sorted(v.items())): p for v, p in table}
+    failed: set[Polynomial] = set()
     for v in _valuation_order(psi, start_valuation):
         p = by_val[tuple(sorted(v.items()))]
+        if p in failed:
+            continue
         at_one = p(1)
         if at_one > HALF:
             return WitnessResult(True, v, Fraction(1), at_one)
@@ -122,6 +130,7 @@ def pmc(
         ]
         found, witness = exists_sat(conds, _OPEN_UNIT)
         if not found:
+            failed.add(p)
             continue
         if mode == "fast":
             assert witness is not None  # strict conditions: open satisfying set
@@ -139,7 +148,8 @@ def pmc(
 def sat(psi: CFormula, max_gates: int = DEFAULT_MAX_GATES) -> bool:
     """Satisfiability: some valuation passes the nu = 1 test or the interior
     query 1/2 < P_v(nu) < 1 for some nu in (1/2, 1)."""
-    for _, p in success_table(psi, max_gates=max_gates):
+    table = success_table(psi, max_gates=max_gates)
+    for p in dict.fromkeys(p for _, p in table):
         if p(1) > HALF:
             return True
         conds = [
@@ -169,30 +179,22 @@ def arr(
 
     The grid cell (1/2 + j/2k, 1/2 + (j+1)/2k] is kept iff for every
     valuation the counterexample query exists nu in the cell with
-    mu_bar > P_v(nu) is unsatisfiable.
+    mu_bar > P_v(nu) is unsatisfiable.  The roots of mu_bar - P are isolated
+    once per distinct P, and all k cells are classified from them.
     """
     mu_bar = _check_mu(mu_bar)
     if k < 1:
         raise ValueError("k must be a positive natural number")
     table = success_table(psi, max_gates=max_gates)
-    kept: list[Interval] = []
-    for j in range(k):
-        cell = Interval(
-            HALF + Fraction(j, 2 * k),
-            HALF + Fraction(j + 1, 2 * k),
-            lo_open=True,
-            hi_open=False,
-        )
-        excluded = False
-        for _, p in table:
-            cond = SignCondition(Polynomial.constant(mu_bar) - p, ">")
-            found, _ = exists_sat([cond], cell)
-            if found:
-                excluded = True
-                break
-        if not excluded:
-            kept.append(cell)
-    return AbductionResult(tuple(kept))
+    target = Polynomial.constant(mu_bar)
+    excluded: set[int] = set()
+    for p in dict.fromkeys(p for _, p in table):
+        excluded |= positive_cells(target - p, HALF, Fraction(1), k)
+    return AbductionResult(tuple(
+        Interval(HALF + Fraction(j, 2 * k), HALF + Fraction(j + 1, 2 * k),
+                 lo_open=True, hi_open=False)
+        for j in range(k) if j not in excluded
+    ))
 
 
 def rrd(
@@ -201,9 +203,10 @@ def rrd(
     """Is there one reliability rate giving success rate mu_bar under every
     valuation?"""
     mu_bar = _check_mu(mu_bar)
+    table = success_table(psi, max_gates=max_gates)
     conds = [
         SignCondition(p - Polynomial.constant(mu_bar), ">=")
-        for _, p in success_table(psi, max_gates=max_gates)
+        for p in dict.fromkeys(p for _, p in table)
     ]
     found, _ = exists_sat(conds, _HALF_OPEN_UNIT)
     return found

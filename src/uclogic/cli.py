@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 affirmative verdict, 1 negative verdict, 2 usage or parse
-error, 3 gate-count guard violation.  With --json a single object is written
-to stdout; rationals render exactly as "p/q", decimals only as annotations
-at the configured eps.
+Exit codes: 0 affirmative verdict, 1 negative verdict, 2 usage, parse or
+other input error, 3 gate-count guard violation.  With --json a single
+object is written to stdout; rationals render exactly as "p/q", decimals
+only as annotations at the configured eps.
 """
 
 from __future__ import annotations
@@ -222,6 +222,11 @@ class _Runner:
         missing = sorted(variables(psi) - valuation.keys())
         if missing:
             raise ParseError(f"valuation misses variables: {missing}")
+        unknown = sorted(valuation.keys() - variables(psi))
+        if unknown:
+            raise ParseError(
+                f"valuation names variables not in the formula: {unknown}"
+            )
         interp = Interpretation(valuation, self.args.nu, self.args.mu)
         p = success_polynomial(psi, valuation, max_gates=self.max_gates)
         verdict = satisfies(interp, psi, max_gates=self.max_gates)
@@ -328,7 +333,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except GateLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ParseError, ValueError) as exc:
+    except (UCLError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     elapsed_ms = (time.perf_counter() - started) * 1000.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor
 from typing import Iterable, Optional, Sequence
 
 from .algebraic import AlgebraicNumber, evaluate_poly_at
@@ -77,7 +78,10 @@ def _sorted_unique(nums: list[AlgebraicNumber]) -> list[AlgebraicNumber]:
 def _rational_bounds_between(
     a: AlgebraicNumber, b: AlgebraicNumber
 ) -> tuple[Fraction, Fraction]:
-    """Rationals l < u with a < l and u < b... more precisely (l, u) inside (a, b)."""
+    """Rationals l < u with a <= l and u <= b, so (l, u) lies inside (a, b).
+
+    a and b must be distinct with a < b; both are refined until they separate.
+    """
     while True:
         la = a.rational_value if a.is_rational else a.interval.hi
         ub = b.rational_value if b.is_rational else b.interval.lo
@@ -156,6 +160,52 @@ def exists_sat(
     if best_cell is not None:
         return True, simplest_between(best_cell[1], best_cell[2])
     return satisfiable, point_witness
+
+
+def _grid_position(
+    x: AlgebraicNumber, origin: Fraction, step: Fraction
+) -> tuple[int, bool]:
+    """(n, on): x = origin + n*step if on, else x lies strictly between the
+    grid points origin + n*step and origin + (n+1)*step."""
+    while not x.is_rational:
+        t_lo = (x.interval.lo - origin) / step
+        n = floor(t_lo)
+        if (x.interval.hi - origin) / step <= n + 1:
+            return n, False
+        # a grid point strictly inside the isolator: x is it iff it is a root
+        if x.defining(origin + (n + 1) * step) == 0:
+            return n + 1, True
+        x = x.refined()
+    t = (x.rational_value - origin) / step
+    return floor(t), t.denominator == 1
+
+
+def positive_cells(
+    q: Polynomial, lo: Fraction, hi: Fraction, k: int
+) -> set[int]:
+    """Indices j of the k equal cells [lo + j*w, lo + (j+1)*w] of [lo, hi]
+    whose interior meets {x : q(x) > 0}.
+
+    The roots of q are isolated once.  q has one sign on each open segment
+    between consecutive roots, read off one rational sample; a positive
+    segment is open, so it meets a cell iff it meets the cell's interior,
+    whichever ends the cell includes.
+    """
+    if q.is_zero:
+        return set()
+    step = (hi - lo) / k
+    points = _roots_in(q, Interval(lo, hi))
+    if q(lo):
+        points.insert(0, AlgebraicNumber.from_rational(lo))
+    if q(hi):
+        points.append(AlgebraicNumber.from_rational(hi))
+    out: set[int] = set()
+    for a, b in zip(points, points[1:]):
+        if q(simplest_between(*_rational_bounds_between(a, b))) > 0:
+            first, _ = _grid_position(a, lo, step)
+            last, on = _grid_position(b, lo, step)
+            out.update(range(first, last if on else last + 1))
+    return out
 
 
 def _alg_in_interval(a: AlgebraicNumber, iv: Interval) -> bool:

@@ -203,6 +203,11 @@ def format_cformula(f: CFormula) -> str:
     return f"({inner})"
 
 
+# Deepest accepted nesting of gates.  Parsing and every traversal recurse
+# once or twice per level, and this keeps them inside Python's default
+# recursion limit of 1000.
+MAX_DEPTH = 256
+
 _VAR_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _MAJ_RE = re.compile(r"(n?maj)([0-9]+)\Z")
 
@@ -246,13 +251,17 @@ def parse_cformula(text: str) -> CFormula:
         raise ParseError("empty formula")
     idx = 0
 
-    def parse_node() -> CFormula:
+    def parse_node(depth: int) -> CFormula:
         nonlocal idx
         if idx >= len(tokens):
             raise ParseError("unexpected end of formula", len(text))
         tok, pos = tokens[idx]
         idx += 1
         if tok == "(":
+            if depth == MAX_DEPTH:
+                raise ParseError(
+                    f"formula nested deeper than {MAX_DEPTH} levels", pos
+                )
             if idx >= len(tokens):
                 raise ParseError("expected connective after '('", pos)
             op_tok, op_pos = tokens[idx]
@@ -260,7 +269,7 @@ def parse_cformula(text: str) -> CFormula:
             conn = _parse_op(op_tok, op_pos)
             args = []
             while idx < len(tokens) and tokens[idx][0] != ")":
-                args.append(parse_node())
+                args.append(parse_node(depth + 1))
             if idx >= len(tokens):
                 raise ParseError("missing ')'", len(text))
             idx += 1  # consume ')'
@@ -280,7 +289,7 @@ def parse_cformula(text: str) -> CFormula:
             return Var(tok)
         raise ParseError(f"invalid token {tok!r}", pos)
 
-    node = parse_node()
+    node = parse_node(0)
     if idx < len(tokens):
         tok, pos = tokens[idx]
         raise ParseError(f"trailing input {tok!r}", pos)

@@ -17,13 +17,18 @@ Rat = Union[Fraction, int]
 
 
 class Polynomial:
-    __slots__ = ("coeffs",)
+    # Memos filled on first use: the square-free part (by square_free) and
+    # the Sturm chain (by roots.sturm_sequence).  Equality and hashing look
+    # at coeffs only.
+    __slots__ = ("coeffs", "_square_free", "_sturm")
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self._square_free: "Polynomial | None" = None
+        self._sturm: "tuple[Polynomial, ...] | None" = None
 
     @classmethod
     def constant(cls, c: Rat) -> "Polynomial":
@@ -148,10 +153,13 @@ class Polynomial:
         return a.monic()
 
     def square_free(self) -> "Polynomial":
-        """Largest square-free divisor (same distinct roots)."""
-        if self.degree < 1:
-            return self
-        return self.exact_div(self.gcd(self.derivative()))
+        """Largest square-free divisor (same distinct roots), computed once."""
+        if self._square_free is None:
+            q = self
+            if self.degree >= 1:
+                q = self.exact_div(self.gcd(self.derivative()))
+            q._square_free = self._square_free = q
+        return self._square_free
 
     def root_bound(self) -> Fraction:
         """Cauchy bound: every real root has absolute value below this."""
@@ -192,6 +200,10 @@ def format_polynomial(p: Polynomial, var: str = "nu") -> str:
     return "".join(parts)
 
 
+# Deepest accepted nesting of parentheses and unary minus signs; the parser
+# recurses up to four times per level.
+MAX_DEPTH = 100
+
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
 
 
@@ -216,6 +228,7 @@ class _PolyParser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.var = var
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -273,14 +286,21 @@ class _PolyParser:
 
     def atom(self) -> Polynomial:
         tok, pos = self.next()
-        if tok == "(":
-            p = self.expr()
-            close, cpos = self.next()
-            if close != ")":
-                raise ParseError("expected ')'", cpos)
+        if tok in ("(", "-"):
+            if self.depth == MAX_DEPTH:
+                raise ParseError(
+                    f"expression nested deeper than {MAX_DEPTH} levels", pos
+                )
+            self.depth += 1
+            if tok == "(":
+                p = self.expr()
+                close, cpos = self.next()
+                if close != ")":
+                    raise ParseError("expected ')'", cpos)
+            else:
+                p = -self.atom()
+            self.depth -= 1
             return p
-        if tok == "-":
-            return -self.atom()
         if tok.isdigit():
             return Polynomial.constant(int(tok))
         if tok == self.var:

@@ -73,15 +73,18 @@ class Interval:
         return f"{left}{self.lo}, {self.hi}{right}"
 
 
-def sturm_sequence(p: Polynomial) -> list[Polynomial]:
-    seq = [p, p.derivative()]
-    while not seq[-1].is_zero:
-        seq.append(-(seq[-2] % seq[-1]))
-    seq.pop()
-    return seq
+def sturm_sequence(p: Polynomial) -> tuple[Polynomial, ...]:
+    """Sturm chain of p, built once and kept on p."""
+    if p._sturm is None:
+        seq = [p, p.derivative()]
+        while not seq[-1].is_zero:
+            seq.append(-(seq[-2] % seq[-1]))
+        seq.pop()
+        p._sturm = tuple(seq)
+    return p._sturm
 
 
-def _variations(seq: list[Polynomial], x: Fraction) -> int:
+def _variations(seq: tuple[Polynomial, ...], x: Fraction) -> int:
     signs = []
     for q in seq:
         v = q(x)
@@ -172,7 +175,7 @@ def _shrink_off_root_endpoints(q: Polynomial, iv: Interval) -> Interval:
 
 def _isolate_open(
     q: Polynomial,
-    seq: list[Polynomial],
+    seq: tuple[Polynomial, ...],
     a: Fraction,
     b: Fraction,
     out: list[Interval],

@@ -1,18 +1,24 @@
 import random
 from fractions import Fraction as F
+from math import ceil
 
 import pytest
 
 from formula_gen import pl_corpus, random_cformula, truth_table_sat, truth_table_valid
-from uclogic.algorithms import EntaQuery, arr, enta, osc, pmc, rrd, sat
+from uclogic.algorithms import EntaQuery, WitnessResult, arr, enta, osc, pmc, rrd, sat
+from uclogic.decide import SignCondition, exists_sat, positive_cells
 from uclogic.formulas import parse_cformula, variables
-from uclogic.polynomials import simplest_between
+from uclogic.polynomials import ONE, ZERO, Polynomial, simplest_between
+from uclogic.roots import Interval
 from uclogic.semantics import (
     Interpretation,
     canonical_valuations,
     parse_ambition,
     satisfies,
+    success_table,
 )
+
+HALF = F(1, 2)
 
 
 def test_enta_on_reliable_formulas_matches_truth_tables():
@@ -140,6 +146,137 @@ def test_arr_intervals_are_sound():
             nu = simplest_between(iv.lo, iv.hi)
             for v in canonical_valuations(sorted(variables(psi))):
                 assert satisfies(Interpretation(v, nu, mu_bar), psi)
+
+
+def _arr_per_cell(psi, mu_bar, k):
+    """Reference: cell j is excluded iff mu_bar - P_v > 0 somewhere in it,
+    one kernel query per cell and valuation."""
+    kept = []
+    for j in range(k):
+        cell = Interval(HALF + F(j, 2 * k), HALF + F(j + 1, 2 * k),
+                        lo_open=True, hi_open=False)
+        if not any(
+            exists_sat([SignCondition(Polynomial.constant(mu_bar) - p, ">")], cell)[0]
+            for _, p in success_table(psi)
+        ):
+            kept.append(cell)
+    return tuple(kept)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 32])
+def test_arr_matches_per_cell_definition(k):
+    rng = random.Random(300 + k)
+    for _ in range(8):
+        psi = random_cformula(rng, max_gates=5)
+        for mu_bar in (F(11, 20), F(5, 8), F(7, 10), F(9, 10), F(1)):
+            assert arr(psi, mu_bar, k).intervals == _arr_per_cell(psi, mu_bar, k)
+
+
+@pytest.mark.parametrize("text, mu_bar, k", [
+    ("(or x (not x))", F(1), 4),        # P = 1 = mu_bar: q is the zero polynomial
+    ("(id? T)", F(3, 4), 2),             # P = nu: rational root on a grid point
+    ("(id? T)", F(1), 3),                # root at nu = 1
+    ("(or? x (not? x))", F(1), 6),       # roots at nu = 1 under both valuations
+    ("(and? (id? T) T)", F(5, 9), 3),    # root 2/3 (a grid point) inside an
+    ("(and? (id? T) T)", F(5, 9), 6),    # open isolator of a quadratic
+])
+def test_arr_edge_cases_match_per_cell_definition(text, mu_bar, k):
+    psi = parse_cformula(text)
+    assert arr(psi, mu_bar, k).intervals == _arr_per_cell(psi, mu_bar, k)
+
+
+def test_positive_cells_by_hand():
+    assert positive_cells(ZERO, HALF, F(1), 4) == set()
+    assert positive_cells(ONE, HALF, F(1), 4) == {0, 1, 2, 3}
+    assert positive_cells(-ONE, HALF, F(1), 4) == set()
+    # 3/4 - nu: positive exactly below the grid point 3/4
+    assert positive_cells(Polynomial([F(3, 4), -1]), HALF, F(1), 2) == {0}
+    # (nu - 3/4)^2 is positive everywhere except at a grid point
+    sq = Polynomial([F(-3, 4), 1]) ** 2
+    assert positive_cells(sq, HALF, F(1), 2) == {0, 1}
+    assert positive_cells(-sq, HALF, F(1), 2) == set()
+    # nu^2 - 2/3 changes sign at sqrt(2/3) ~ 0.8165, inside the cell (3/4, 7/8]
+    assert positive_cells(Polynomial([F(-2, 3), 0, 1]), HALF, F(1), 4) == {2, 3}
+
+
+def _enta_per_valuation(query):
+    for _, p in success_table(query.psi):
+        conds = [SignCondition(ONE - p, ">")]
+        for g in query.gamma:
+            conds.append(SignCondition(g.bound - p, ">"))
+            conds.append(SignCondition(g.bound - Polynomial.constant(HALF), ">"))
+        if exists_sat(conds, Interval(HALF, 1, lo_open=True))[0]:
+            return False
+    return True
+
+
+def _interior(p):
+    conds = [SignCondition(p - Polynomial.constant(HALF), ">"),
+             SignCondition(ONE - p, ">")]
+    return exists_sat(conds, Interval(HALF, 1, lo_open=True, hi_open=True))
+
+
+def _pmc_per_valuation(psi, mode):
+    table = success_table(psi)
+    for v, p in table:
+        if p(1) > HALF:
+            return WitnessResult(True, v, F(1), p(1))
+        found, witness = _interior(p)
+        if not found:
+            continue
+        if mode == "fast":
+            return WitnessResult(True, v, witness, p(witness))
+        den = 3
+        while True:
+            for num in range(ceil((den + 1) / 2), den):
+                if p(F(num, den)) > HALF:
+                    return WitnessResult(True, v, F(num, den), p(F(num, den)))
+            den += 1
+    return WitnessResult(False)
+
+
+def test_procedures_unchanged_on_heavily_duplicated_tables():
+    # six variables, at most two gates: many valuations share a polynomial
+    rng = random.Random(41)
+    names = tuple(f"x{i}" for i in range(1, 7))
+    gamma = (parse_ambition("mu <= nu"), parse_ambition("mu <= 2*nu - nu^2"))
+    duplicated = 0
+    for _ in range(25):
+        psi = random_cformula(rng, max_depth=5, names=names, max_gates=2)
+        table = success_table(psi)
+        duplicated += len({p for _, p in table}) < len(table)
+        for g in ((), gamma[:1], gamma):
+            q = EntaQuery(psi, g)
+            assert enta(q) == _enta_per_valuation(q)
+        assert sat(psi) == any(p(1) > HALF or _interior(p)[0] for _, p in table)
+        for mu_bar in (F(3, 5), F(9, 10), F(1)):
+            conds = [SignCondition(p - Polynomial.constant(mu_bar), ">=")
+                     for _, p in table]
+            expected = exists_sat(conds, Interval(HALF, 1, lo_open=True))[0]
+            assert rrd(psi, mu_bar) == expected
+        for mode in ("faithful", "fast"):
+            assert pmc(psi, mode=mode) == _pmc_per_valuation(psi, mode)
+    assert duplicated >= 10
+
+
+def test_each_distinct_polynomial_reaches_the_kernel_once(monkeypatch):
+    calls = []
+
+    def counting(conds, iv):
+        calls.append(conds)
+        return exists_sat(conds, iv)
+
+    monkeypatch.setattr("uclogic.algorithms.exists_sat", counting)
+    # 16 valuations, success polynomial 0 or 1 - nu: no valuation succeeds
+    unsat = parse_cformula("(and (and x1 (not? x1)) (or x2 (or x3 x4)))")
+    assert len({p for _, p in success_table(unsat)}) == 2
+    for decide in (sat, pmc, lambda psi: pmc(psi, mode="fast")):
+        calls.clear()
+        assert decide(unsat) in (False, WitnessResult(False))
+        assert len(calls) == 2
+    calls.clear()
+    assert enta(EntaQuery(parse_cformula("(or (or x1 (not x1)) (and? x2 x3))")))
+    assert len(calls) == 1
 
 
 def test_rrd_published_example():

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction as F
 
 from uclogic.cli import main
+from uclogic.errors import UCLError
+from uclogic.formulas import MAX_DEPTH
 
 PMC_SCENARIO = "(iff (or (or (not? x) (not? x)) (not? x)) (or x (not x)))"
 
@@ -134,6 +136,39 @@ def test_bad_value_exits_two(capsys):
     code, out, err = run(capsys, "eval", "-f", "(or x y)", "--assign", "x=1",
                          "--nu", "3/4", "--mu", "3/4")
     assert code == 2 and "misses" in err
+    code, out, err = run(capsys, "eval", "-f", "(and? x y)",
+                         "--assign", "x=1,y=0,z=1,w=0", "--nu", "3/4", "--mu", "3/4")
+    assert code == 2 and "not in the formula: ['w', 'z']" in err
+
+
+def _nested(depth):
+    text = "(not? y)"
+    for i in range(depth - 1):
+        text = f"(and {text} (not x))" if i % 2 else f"(or {text} x)"
+    return text
+
+
+def test_deep_nesting_exits_two(capsys):
+    for depth in (MAX_DEPTH + 1, 1500):
+        code, out, err = run(capsys, "sat", "-f", _nested(depth))
+        assert code == 2 and f"nested deeper than {MAX_DEPTH} levels" in err
+    code, _, err = run(capsys, "entails", "-f", "x",
+                       "--gamma", "mu <= " + "(" * 1500 + "nu" + ")" * 1500)
+    assert code == 2 and "nested deeper" in err
+    # the deepest accepted formula runs through every recursive traversal
+    for argv in (["entails"], ["outcomes"], ["witness"],
+                 ["eval", "--assign", "x=1,y=0", "--nu", "3/4", "--mu", "3/4"]):
+        code, _, err = run(capsys, argv[0], "-f", _nested(MAX_DEPTH), *argv[1:])
+        assert code in (0, 1), (argv, err)
+
+
+def test_every_library_error_exits_two(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise UCLError("refused")
+
+    monkeypatch.setattr("uclogic.algorithms.sat", fail)
+    code, _, err = run(capsys, "sat", "-f", "x")
+    assert code == 2 and "error: refused" in err
 
 
 def test_gate_guard_exits_three(capsys):

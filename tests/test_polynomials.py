@@ -65,6 +65,24 @@ def test_square_free_drops_multiplicity():
     assert sf(F(1)) == 0 and sf(F(-2)) == 0
 
 
+def test_square_free_is_memoized():
+    p = Polynomial([F(1), F(-2), F(1)]) * Polynomial([F(-2), F(0), F(1)])
+    sf = p.square_free()
+    assert p.square_free() is sf
+    assert sf.square_free() is sf
+    c = Polynomial.constant(3)
+    assert c.square_free() is c
+
+
+def test_memo_does_not_change_equality():
+    filled = Polynomial([F(1), F(-2), F(1)])
+    filled.square_free()
+    fresh = Polynomial([F(1), F(-2), F(1)])
+    assert filled == fresh and hash(filled) == hash(fresh)
+    assert len({filled, fresh}) == 1
+    assert filled.square_free() == fresh.square_free()
+
+
 @given(polys, polys)
 @settings(max_examples=60, deadline=None)
 def test_mul_evaluation_homomorphism(p, q):

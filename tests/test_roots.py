@@ -35,6 +35,16 @@ def test_sturm_sequence_shape():
     assert seq[-1].degree == 0
 
 
+def test_sturm_sequence_is_memoized():
+    p = poly(-2, 0, 1)
+    seq = sturm_sequence(p)
+    assert sturm_sequence(p) is seq
+    twin = poly(-2, 0, 1)  # equal but unfilled: builds an equal chain
+    assert sturm_sequence(twin) == seq and twin == p
+    assert count_roots(p, Interval(F(0), F(2))) == 1
+    assert sturm_sequence(p) is seq
+
+
 def test_count_roots_known():
     # (nu - 1/4)(nu - 3/4): two roots in [0,1], one in [1/2,1]
     p = poly(F(3, 16), -1, 1)
