@@ -33,7 +33,6 @@ from .formulas import (
     eval_pl,
     fau,
     format_cformula,
-    is_pl,
     parse_cformula,
     variables,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "fau",
     "format_cformula",
     "format_polynomial",
-    "is_pl",
     "isolate_roots",
     "lower_envelope_max",
     "osc",

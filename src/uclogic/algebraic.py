@@ -97,20 +97,16 @@ class AlgebraicNumber:
                 return _sign(q(a.rational_value))
         return _sign(q(a.interval.midpoint))
 
-    def sign(self) -> int:
-        return self.sign_of_poly_at(Polynomial([0, 1]))
-
     def equals(self, other: "AlgebraicNumber") -> bool:
         if self.is_rational and other.is_rational:
             return self.rational_value == other.rational_value
         if self.is_rational:
-            return other.sign_of_poly_at(
-                Polynomial([-self.rational_value, 1])
-            ) == 0
+            return other.equals(self)
         if other.is_rational:
-            return self.sign_of_poly_at(
-                Polynomial([-other.rational_value, 1])
-            ) == 0
+            # the defining polynomial is square-free with exactly one root
+            # in the closed isolator, so a root r inside it is this number
+            r = other.rational_value
+            return self.defining(r) == 0 and self.interval.contains(r)
         g = self.defining.gcd(other.defining)
         if g.degree < 1:
             return False

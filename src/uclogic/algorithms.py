@@ -95,6 +95,11 @@ def _valuation_order(
     missing = [n for n in names if n not in start_valuation]
     if missing:
         raise ValueError(f"start valuation misses variables: {missing}")
+    unknown = sorted(start_valuation.keys() - set(names))
+    if unknown:
+        raise ValueError(
+            f"start valuation names variables not in the formula: {unknown}"
+        )
     first = {n: bool(start_valuation[n]) for n in names}
     return [first] + [v for v in order if v != first]
 

@@ -20,7 +20,7 @@ from . import algorithms
 from .algebraic import AlgebraicNumber
 from .errors import GateLimitError, ParseError, UCLError
 from .formulas import format_cformula, parse_cformula, variables
-from .polynomials import format_polynomial
+from .polynomials import Polynomial, format_polynomial
 from .roots import Interval
 from .semantics import (
     DEFAULT_MAX_GATES,
@@ -245,24 +245,22 @@ class _Runner:
         return (EXIT_YES if verdict else EXIT_NO, int(verdict), payload, lines)
 
     def cmd_outcomes(self):
-        psi = self.formula()
         rows = []
-        total = None
         lines = ["pattern | outcome | probability"]
-        for o in outcomes(psi, max_gates=self.max_gates):
+        # rows with the same count of correct gates share one probability,
+        # kept as [probability, its text, rows]: formatted and summed once
+        shared: dict[int, list] = {}
+        for o in outcomes(self.formula(), max_gates=self.max_gates):
             bits = "".join("1" if b else "0" for b in o.pattern)
-            rows.append(
-                {
-                    "pattern": bits,
-                    "formula": format_cformula(o.formula),
-                    "probability": format_polynomial(o.probability),
-                }
-            )
-            lines.append(
-                f"{bits or '-':>7} | {format_cformula(o.formula)} | "
-                f"{format_polynomial(o.probability)}"
-            )
-            total = o.probability if total is None else total + o.probability
+            formula = format_cformula(o.formula)
+            correct = o.pattern.count(False)
+            if correct not in shared:
+                shared[correct] = [o.probability, format_polynomial(o.probability), 0]
+            entry = shared[correct]
+            entry[2] += 1
+            rows.append({"pattern": bits, "formula": formula, "probability": entry[1]})
+            lines.append(f"{bits or '-':>7} | {formula} | {entry[1]}")
+        total = sum((p.scale(n) for p, _, n in shared.values()), Polynomial())
         lines.append(f"total probability: {format_polynomial(total)}")
         payload = {"rows": rows, "total": format_polynomial(total)}
         return EXIT_YES, 1, payload, lines

@@ -16,36 +16,33 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import ParseError
 
-_FIXED_ARITY = {
-    "not": 1,
-    "id": 1,
-    "and": 2,
-    "nand": 2,
-    "or": 2,
-    "nor": 2,
-    "imp": 2,
-    "nimp": 2,
-    "iff": 2,
-    "xor": 2,
-}
+class ConnectiveSpec(NamedTuple):
+    arity: int | None  # None: any odd arity >= 3
+    counterpart: str
+    negate_first: bool  # count the first argument negated: imp(a, b) = or(not a, b)
+    true_when: Callable[[int, int], bool]  # (count of true arguments, arity)
 
-_COUNTERPART = {
-    "not": "id",
-    "id": "not",
-    "and": "nand",
-    "nand": "and",
-    "or": "nor",
-    "nor": "or",
-    "imp": "nimp",
-    "nimp": "imp",
-    "iff": "xor",
-    "xor": "iff",
-    "maj": "nmaj",
-    "nmaj": "maj",
+
+# The one connective table: parsing, validation, counterparts, eval_pl and
+# semantics._pattern_counts read it.  Each kind has its own truth function,
+# so that a counterpart negates its mate as a checked fact, not by definition.
+CONNECTIVES = {
+    "not": ConnectiveSpec(1, "id", False, lambda c, n: c == 0),
+    "id": ConnectiveSpec(1, "not", False, lambda c, n: c == 1),
+    "and": ConnectiveSpec(2, "nand", False, lambda c, n: c == n),
+    "nand": ConnectiveSpec(2, "and", False, lambda c, n: c < n),
+    "or": ConnectiveSpec(2, "nor", False, lambda c, n: c > 0),
+    "nor": ConnectiveSpec(2, "or", False, lambda c, n: c == 0),
+    "imp": ConnectiveSpec(2, "nimp", True, lambda c, n: c > 0),
+    "nimp": ConnectiveSpec(2, "imp", True, lambda c, n: c == 0),
+    "iff": ConnectiveSpec(2, "xor", False, lambda c, n: c != 1),
+    "xor": ConnectiveSpec(2, "iff", False, lambda c, n: c == 1),
+    "maj": ConnectiveSpec(None, "nmaj", False, lambda c, n: 2 * c > n),
+    "nmaj": ConnectiveSpec(None, "maj", False, lambda c, n: 2 * c <= n),
 }
 
 
@@ -56,22 +53,24 @@ class Connective:
     unreliable: bool = False
 
     def __post_init__(self):
-        if self.kind in _FIXED_ARITY:
-            if self.arity != _FIXED_ARITY[self.kind]:
-                raise ValueError(f"{self.kind} has arity {_FIXED_ARITY[self.kind]}")
-        elif self.kind in ("maj", "nmaj"):
+        spec = CONNECTIVES.get(self.kind)
+        if spec is None:
+            raise ValueError(f"unknown connective kind {self.kind!r}")
+        if spec.arity is None:
             if self.arity < 3 or self.arity % 2 == 0:
                 raise ValueError("majority arity must be odd and at least 3")
-        else:
-            raise ValueError(f"unknown connective kind {self.kind!r}")
+        elif self.arity != spec.arity:
+            raise ValueError(f"{self.kind} has arity {spec.arity}")
 
     @property
     def name(self) -> str:
-        base = self.kind if self.kind not in ("maj", "nmaj") else f"{self.kind}{self.arity}"
+        fixed = CONNECTIVES[self.kind].arity is not None
+        base = self.kind if fixed else f"{self.kind}{self.arity}"
         return base + ("?" if self.unreliable else "")
 
     def counterpart(self) -> "Connective":
-        return Connective(_COUNTERPART[self.kind], self.arity, self.unreliable)
+        mate = CONNECTIVES[self.kind].counterpart
+        return Connective(mate, self.arity, self.unreliable)
 
     def as_reliable(self) -> "Connective":
         return Connective(self.kind, self.arity) if self.unreliable else self
@@ -114,13 +113,6 @@ def variables(f: CFormula) -> set[str]:
     return out
 
 
-def is_pl(f: CFormula) -> bool:
-    """True when f contains no unreliable connective (it is a PL formula)."""
-    if isinstance(f, (Var, Const)):
-        return True
-    return not f.conn.unreliable and all(is_pl(a) for a in f.args)
-
-
 def fau(f: CFormula) -> list[tuple[int, ...]]:
     """Positions of unreliable occurrences, depth-first pre-order."""
     out: list[tuple[int, ...]] = []
@@ -138,22 +130,23 @@ def fau(f: CFormula) -> list[tuple[int, ...]]:
 
 def apply_pattern(f: CFormula, pattern: Sequence[bool]) -> CFormula:
     """Resolve each unreliable gate: bit False = correct, True = misfire."""
-    bits = list(pattern)
-    expected = len(fau(f))
-    if len(bits) != expected:
-        raise ValueError(f"pattern length {len(bits)} != gate count {expected}")
-    it = iter(bits)
+    bits = iter(pattern)
 
     def walk(node: CFormula) -> CFormula:
         if not isinstance(node, App):
             return node
         conn = node.conn
-        if conn.unreliable:
-            misfire = next(it)
-            conn = (conn.counterpart() if misfire else conn).as_reliable()
-        return App(conn, tuple(walk(a) for a in node.args))
+        if conn.unreliable:  # next raises StopIteration when the bits run out
+            conn = (conn.counterpart() if next(bits) else conn).as_reliable()
+        return App(conn, tuple([walk(a) for a in node.args]))
 
-    return walk(f)
+    try:
+        out = walk(f)
+    except StopIteration:
+        out = None
+    if out is None or next(bits, None) is not None:
+        raise ValueError(f"pattern length {len(pattern)} != gate count {len(fau(f))}")
+    return out
 
 
 def eval_pl(f: CFormula, valuation: Mapping[str, bool]) -> bool:
@@ -166,32 +159,10 @@ def eval_pl(f: CFormula, valuation: Mapping[str, bool]) -> bool:
     if isinstance(f, Const):
         return f.value
     vals = [eval_pl(a, valuation) for a in f.args]
-    kind = f.conn.kind
-    if kind == "not":
-        return not vals[0]
-    if kind == "id":
-        return vals[0]
-    if kind == "and":
-        return vals[0] and vals[1]
-    if kind == "nand":
-        return not (vals[0] and vals[1])
-    if kind == "or":
-        return vals[0] or vals[1]
-    if kind == "nor":
-        return not (vals[0] or vals[1])
-    if kind == "imp":
-        return (not vals[0]) or vals[1]
-    if kind == "nimp":
-        return vals[0] and not vals[1]
-    if kind == "iff":
-        return vals[0] == vals[1]
-    if kind == "xor":
-        return vals[0] != vals[1]
-    if kind == "maj":
-        return sum(vals) * 2 > len(vals)
-    if kind == "nmaj":
-        return sum(vals) * 2 <= len(vals)
-    raise AssertionError(kind)
+    spec = CONNECTIVES[f.conn.kind]
+    if spec.negate_first:
+        vals[0] = not vals[0]
+    return spec.true_when(sum(vals), len(vals))
 
 
 def format_cformula(f: CFormula) -> str:
@@ -240,8 +211,9 @@ def _parse_op(tok: str, pos: int) -> Connective:
         if arity < 3 or arity % 2 == 0:
             raise ParseError(f"majority arity must be odd and >= 3, got {arity}", pos)
         return Connective(m.group(1), arity, unreliable)
-    if base in _FIXED_ARITY:
-        return Connective(base, _FIXED_ARITY[base], unreliable)
+    spec = CONNECTIVES.get(base)
+    if spec is not None and spec.arity is not None:
+        return Connective(base, spec.arity, unreliable)
     raise ParseError(f"unknown connective {tok!r}", pos)
 
 

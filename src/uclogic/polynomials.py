@@ -161,13 +161,6 @@ class Polynomial:
             q._square_free = self._square_free = q
         return self._square_free
 
-    def root_bound(self) -> Fraction:
-        """Cauchy bound: every real root has absolute value below this."""
-        if self.degree < 1:
-            return Fraction(1)
-        lead = abs(self.coeffs[-1])
-        return 1 + max(abs(c) for c in self.coeffs[:-1]) / lead
-
     def __repr__(self) -> str:
         return f"Polynomial({format_polynomial(self)!r})"
 
@@ -203,6 +196,12 @@ def format_polynomial(p: Polynomial, var: str = "nu") -> str:
 # Deepest accepted nesting of parentheses and unary minus signs; the parser
 # recurses up to four times per level.
 MAX_DEPTH = 100
+
+# Highest accepted degree of a parsed polynomial, and highest exponent.  The
+# kernel's exact root isolation slows steeply with the degree (at 1024 a
+# single entailment takes seconds), and the checks run before the product or
+# power that would exceed the limit is computed.
+MAX_DEGREE = 256
 
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
 
@@ -267,6 +266,7 @@ class _PolyParser:
             op, pos = self.next()
             rhs = self.power()
             if op == "*":
+                self.check_degree(acc.degree + rhs.degree, pos)
                 acc = acc * rhs
             else:
                 if rhs.degree != 0 or rhs.is_zero:
@@ -281,8 +281,20 @@ class _PolyParser:
             tok, tpos = self.next()
             if not tok.isdigit():
                 raise ParseError("exponent must be a natural number", tpos)
-            return base ** int(tok)
+            n = int(tok)
+            if n > MAX_DEGREE:
+                raise ParseError(
+                    f"exponent {n} exceeds the degree limit of {MAX_DEGREE}", tpos
+                )
+            self.check_degree(base.degree * n, tpos)
+            return base ** n
         return base
+
+    def check_degree(self, degree: int, pos: int) -> None:
+        if degree > MAX_DEGREE:
+            raise ParseError(
+                f"polynomial degree {degree} exceeds the limit of {MAX_DEGREE}", pos
+            )
 
     def atom(self) -> Polynomial:
         tok, pos = self.next()

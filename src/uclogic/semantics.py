@@ -20,7 +20,9 @@ from math import comb
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import GateLimitError, ParseError
-from .formulas import App, CFormula, apply_pattern, eval_pl, fau, variables
+from .formulas import (
+    CONNECTIVES, App, CFormula, apply_pattern, eval_pl, fau, variables,
+)
 from .polynomials import Polynomial, parse_polynomial
 
 DEFAULT_MAX_GATES = 24
@@ -70,27 +72,11 @@ def outcomes(
 ) -> Iterator[Outcome]:
     """All 2^m outcomes in pattern-lexicographic order (False < True)."""
     m = _gate_count(psi, max_gates)
+    # a pattern's probability depends only on its count l of correct gates
+    by_correct = [pattern_probability((False,) * l + (True,) * (m - l))
+                  for l in range(m + 1)]
     for bits in itertools.product((False, True), repeat=m):
-        yield Outcome(bits, apply_pattern(psi, bits), pattern_probability(bits))
-
-
-# Truth of each connective from the number c of its true arguments (n is
-# the arity), once imp and nimp have negated their first argument:
-# imp(a, b) = or(not a, b) and nimp(a, b) = nor(not a, b).
-_TRUE_WHEN = {
-    "not": lambda c, n: c == 0,
-    "id": lambda c, n: c == 1,
-    "and": lambda c, n: c == n,
-    "nand": lambda c, n: c < n,
-    "or": lambda c, n: c > 0,
-    "nor": lambda c, n: c == 0,
-    "imp": lambda c, n: c > 0,
-    "nimp": lambda c, n: c == 0,
-    "iff": lambda c, n: c != 1,
-    "xor": lambda c, n: c == 1,
-    "maj": lambda c, n: 2 * c > n,
-    "nmaj": lambda c, n: 2 * c <= n,
-}
+        yield Outcome(bits, apply_pattern(psi, bits), by_correct[bits.count(False)])
 
 
 def _convolve_into(acc: list[int], a: Sequence[int], b: Sequence[int]) -> None:
@@ -109,11 +95,12 @@ def _pattern_counts(
     if not isinstance(node, App):
         return ([1], [0]) if eval_pl(node, valuation) else ([0], [1])
     conn = node.conn
+    spec = CONNECTIVES[conn.kind]
     # by_count[c][l]: patterns of the arguments so far with c of them True
     by_count = [[1]]
     for i, arg in enumerate(node.args):
         t, f = _pattern_counts(arg, valuation)
-        if i == 0 and conn.kind in ("imp", "nimp"):
+        if i == 0 and spec.negate_first:
             t, f = f, t
         if len(t) == 1:  # no gate inside: the argument only shifts the count
             zero = [0] * len(by_count[0])
@@ -128,7 +115,7 @@ def _pattern_counts(
     t = [0] * len(by_count[0])
     f = [0] * len(by_count[0])
     for c, d in enumerate(by_count):
-        acc = t if _TRUE_WHEN[conn.kind](c, conn.arity) else f
+        acc = t if spec.true_when(c, conn.arity) else f
         for l, x in enumerate(d):
             acc[l] += x
     if conn.unreliable:

@@ -51,6 +51,25 @@ def test_equals_and_compare():
     assert SQRT2.compare(AlgebraicNumber.from_rational(F(7, 5))) == 1
 
 
+def test_equals_rational():
+    rat = AlgebraicNumber.from_rational
+    # (3 nu - 2)(nu + 1): the rational root 2/3 held in an open isolator
+    two_thirds = AlgebraicNumber(poly(-2, 1, 3), Interval(F(1, 2), F(1), True, True))
+    assert not two_thirds.is_rational
+    assert two_thirds.equals(rat(F(2, 3))) and rat(F(2, 3)).equals(two_thirds)
+    assert two_thirds.compare(rat(F(2, 3))) == 0
+    assert not two_thirds.equals(rat(F(3, 4)))  # inside, not a root
+    assert not two_thirds.equals(rat(-1))  # a root outside the isolator
+    assert two_thirds.compare(rat(-1)) == 1
+    # isolator endpoints: not roots, and a closed end that is the root
+    assert not SQRT2.equals(rat(1)) and not rat(2).equals(SQRT2)
+    closed = AlgebraicNumber(poly(-2, 1, 3), Interval(F(1, 2), F(2, 3), True, False))
+    assert closed.equals(rat(F(2, 3))) and not closed.equals(rat(F(1, 2)))
+    # rational against rational
+    assert rat(F(3, 4)).equals(rat(F(6, 8)))
+    assert not rat(F(3, 4)).equals(rat(F(2, 3)))
+
+
 def test_value_defining_polynomial_annihilates():
     p = poly(1, 1)  # 1 + nu  ->  value 1 + sqrt2, minimal poly y^2 - 2y - 1
     d = value_defining_polynomial(SQRT2.defining, p)

@@ -1,9 +1,15 @@
+import itertools
 import json
+import random
+import time
 from fractions import Fraction as F
 
+from formula_gen import random_cformula
 from uclogic.cli import main
 from uclogic.errors import UCLError
-from uclogic.formulas import MAX_DEPTH
+from uclogic.formulas import MAX_DEPTH, apply_pattern, fau, format_cformula
+from uclogic.polynomials import Polynomial, format_polynomial
+from uclogic.semantics import pattern_probability
 
 PMC_SCENARIO = "(iff (or (or (not? x) (not? x)) (not? x)) (or x (not x)))"
 
@@ -125,6 +131,45 @@ def test_outcomes_table(capsys):
     assert doc["payload"]["total"] == "1"
 
 
+def _outcomes_by_pattern(psi):
+    """Rows and total of `outcomes`, one pattern at a time: apply_pattern,
+    pattern_probability and a sum over all 2^m patterns."""
+    rows, total = [], Polynomial()
+    for bits in itertools.product((False, True), repeat=len(fau(psi))):
+        p = pattern_probability(bits)
+        rows.append({
+            "pattern": "".join("1" if b else "0" for b in bits),
+            "formula": format_cformula(apply_pattern(psi, bits)),
+            "probability": format_polynomial(p),
+        })
+        total = total + p
+    return rows, format_polynomial(total)
+
+
+def test_outcomes_match_per_pattern_route(capsys):
+    rng = random.Random(2024)
+    sizes = set()
+    for _ in range(30):
+        psi = random_cformula(rng, max_depth=5, unreliable_prob=0.6, max_gates=8)
+        sizes.add(len(fau(psi)))
+        text = format_cformula(psi)
+        rows, total = _outcomes_by_pattern(psi)
+        code, out, _ = run(capsys, "outcomes", "-f", text)
+        lines = [f"{r['pattern'] or '-':>7} | {r['formula']} | {r['probability']}"
+                 for r in rows]
+        assert code == 0
+        assert out == "\n".join(["pattern | outcome | probability", *lines,
+                                 f"total probability: {total}"]) + "\n"
+        code, out, _ = run(capsys, "outcomes", "-f", text, "--json")
+        doc = json.loads(out)
+        assert out == json.dumps({
+            "command": "outcomes", "verdict": 1,
+            "payload": {"rows": rows, "total": total},
+            "eps": "1/1000000", "elapsed_ms": doc["elapsed_ms"],
+        }) + "\n"
+    assert {0, 8} <= sizes and len(sizes) >= 6
+
+
 def test_parse_error_exits_two(capsys):
     code, out, err = run(capsys, "sat", "-f", "(and x)")
     assert code == 2 and "error" in err
@@ -139,6 +184,26 @@ def test_bad_value_exits_two(capsys):
     code, out, err = run(capsys, "eval", "-f", "(and? x y)",
                          "--assign", "x=1,y=0,z=1,w=0", "--nu", "3/4", "--mu", "3/4")
     assert code == 2 and "not in the formula: ['w', 'z']" in err
+
+
+def test_witness_start_valuation_names_unknown_variable(capsys):
+    code, _, err = run(capsys, "witness", "-f", "x", "--start-valuation", "x=1,zz=0")
+    assert code == 2 and "not in the formula: ['zz']" in err
+    code, _, _ = run(capsys, "witness", "-f", "x", "--start-valuation", "x=1")
+    assert code == 0
+
+
+def test_ambition_degree_limit_exits_two(capsys):
+    for bound in ("nu^3000", "nu^99999999999", "nu^200 * nu^200"):
+        started = time.perf_counter()
+        code, _, err = run(capsys, "entails", "-f", "(or? x y)",
+                           "--gamma", f"mu <= {bound}")
+        assert code == 2 and "limit" in err, bound
+        assert time.perf_counter() - started < 1.0, bound
+    for bound in ("nu^16", "1 - (1 - nu)^16", "nu^8 * (2 - nu)^8 / 256"):
+        code, _, err = run(capsys, "entails", "-f", "(or? x y)",
+                           "--gamma", f"mu <= {bound}")
+        assert code in (0, 1), (bound, err)
 
 
 def _nested(depth):

@@ -16,10 +16,11 @@ from uclogic.formulas import (
     eval_pl,
     fau,
     format_cformula,
-    is_pl,
     parse_cformula,
     variables,
 )
+from uclogic.polynomials import NU, ONE
+from uclogic.semantics import success_polynomial
 
 
 def test_connective_validation():
@@ -67,6 +68,47 @@ def test_complement_law_exhaustive():
             assert eval_pl(App(mate, args), v) == (not eval_pl(App(conn, args), v))
 
 
+# Output bits over all inputs in itertools.product order (False < True,
+# first argument most significant), written out rather than computed.
+LITERAL_TRUTH_TABLES = {
+    ("not", 1): "10",
+    ("id", 1): "01",
+    ("and", 2): "0001",
+    ("nand", 2): "1110",
+    ("or", 2): "0111",
+    ("nor", 2): "1000",
+    ("imp", 2): "1101",
+    ("nimp", 2): "0010",
+    ("iff", 2): "1001",
+    ("xor", 2): "0110",
+    ("maj", 3): "00010111",
+    ("nmaj", 3): "11101000",
+    ("maj", 5): "00000001000101110001011101111111",
+}
+
+
+def test_connectives_match_literal_truth_tables():
+    """eval_pl and the success-polynomial recursion read one connective
+    table; both are checked against truth tables written out by hand."""
+    for (kind, arity), table in LITERAL_TRUTH_TABLES.items():
+        names = [f"x{i}" for i in range(arity)]
+        args = tuple(Var(n) for n in names)
+        inputs = list(itertools.product((False, True), repeat=arity))
+        assert len(table) == len(inputs)
+        for bits, out in zip(inputs, table):
+            v = dict(zip(names, bits))
+            expected = out == "1"
+            assert eval_pl(App(Connective(kind, arity), args), v) == expected
+            # a single unreliable gate succeeds with probability nu exactly
+            # when its reliable connective is true
+            gate = App(Connective(kind, arity, unreliable=True), args)
+            assert success_polynomial(gate, v) == (NU if expected else ONE - NU)
+            # the same connective below a gate goes through the count recursion
+            wrapped = App(Connective("id", 1, unreliable=True),
+                          (App(Connective(kind, arity), args),))
+            assert success_polynomial(wrapped, v) == (NU if expected else ONE - NU)
+
+
 def test_eval_pl_majority_is_strict():
     names = ["a", "b", "c", "d", "e"]
     f = App(Connective("maj", 5), tuple(Var(n) for n in names))
@@ -78,8 +120,6 @@ def test_eval_pl_majority_is_strict():
 def test_variables_and_is_pl():
     f = parse_cformula("(and? (or x (not y)) T)")
     assert variables(f) == {"x", "y"}
-    assert not is_pl(f)
-    assert is_pl(parse_cformula("(and (or x (not y)) T)"))
 
 
 def test_fau_preorder():
@@ -94,8 +134,13 @@ def test_apply_pattern():
     assert format_cformula(apply_pattern(f, (False, False))) == "(or x (not y))"
     assert format_cformula(apply_pattern(f, (True, False))) == "(nor x (not y))"
     assert format_cformula(apply_pattern(f, (False, True))) == "(or x (id y))"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pattern length 1 != gate count 2"):
         apply_pattern(f, (False,))
+    with pytest.raises(ValueError, match="pattern length 3 != gate count 2"):
+        apply_pattern(f, (False, True, False))
+    with pytest.raises(ValueError, match="pattern length 1 != gate count 0"):
+        apply_pattern(parse_cformula("(or x y)"), (True,))
+    assert apply_pattern(parse_cformula("(or x y)"), ()) == parse_cformula("(or x y)")
 
 
 def test_parse_format_round_trip_corpus():

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uclogic.errors import ParseError
 from uclogic.polynomials import (
+    MAX_DEGREE,
     ONE,
     ZERO,
     NU,
@@ -109,11 +111,6 @@ def test_eval_interval_bounds_range():
         assert lo <= v <= hi
 
 
-def test_root_bound_contains_roots():
-    p = Polynomial([F(-6), F(11), F(-6), F(1)])  # roots 1, 2, 3
-    assert p.root_bound() >= 3
-
-
 def test_format_parse_round_trip():
     p = Polynomial([F(1), F(-2), F(2)])
     assert format_polynomial(p) == "2*nu^2 - 2*nu + 1"
@@ -128,6 +125,22 @@ def test_format_parse_round_trip():
 @settings(max_examples=80, deadline=None)
 def test_format_parse_round_trip_random(p):
     assert parse_polynomial(format_polynomial(p)) == p
+
+
+def test_degree_limit():
+    assert parse_polynomial(f"nu^{MAX_DEGREE}").degree == MAX_DEGREE
+    assert parse_polynomial(f"nu^{MAX_DEGREE // 2} * nu^{MAX_DEGREE // 2}") == (
+        NU ** MAX_DEGREE
+    )
+    for text in (
+        f"nu^{MAX_DEGREE + 1}",  # exponent
+        "2^99999999999",  # exponent of a constant
+        f"(nu^2)^{MAX_DEGREE // 2 + 1}",  # degree of a power
+        f"nu^{MAX_DEGREE} * nu",  # degree of a product
+        f"(1 + nu^{MAX_DEGREE}) * (nu - 1)",
+    ):
+        with pytest.raises(ParseError, match="limit"):
+            parse_polynomial(text)
 
 
 def test_simplest_between():
