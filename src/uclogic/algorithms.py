@@ -104,6 +104,18 @@ def _valuation_order(
     return [first] + [v for v in order if v != first]
 
 
+def _exceeds_half(p: Polynomial) -> tuple[bool, Optional[Fraction]]:
+    """(found, nu): P(nu) > 1/2 at nu = 1, else 1/2 < P(nu) < 1 at some
+    nu in (1/2, 1); nu = 1 in the first case."""
+    if p(1) > HALF:
+        return True, Fraction(1)
+    return exists_sat(
+        [SignCondition(p - Polynomial.constant(HALF), ">"),
+         SignCondition(ONE - p, ">")],
+        _OPEN_UNIT,
+    )
+
+
 def pmc(
     psi: CFormula,
     mode: str = "faithful",
@@ -126,20 +138,13 @@ def pmc(
         p = by_val[tuple(sorted(v.items()))]
         if p in failed:
             continue
-        at_one = p(1)
-        if at_one > HALF:
-            return WitnessResult(True, v, Fraction(1), at_one)
-        conds = [
-            SignCondition(p - Polynomial.constant(HALF), ">"),
-            SignCondition(ONE - p, ">"),
-        ]
-        found, witness = exists_sat(conds, _OPEN_UNIT)
+        found, nu = _exceeds_half(p)
         if not found:
             failed.add(p)
             continue
-        if mode == "fast":
-            assert witness is not None  # strict conditions: open satisfying set
-            return WitnessResult(True, v, witness, p(witness))
+        if mode == "fast" or nu == 1:
+            assert nu is not None  # strict conditions: open satisfying set
+            return WitnessResult(True, v, nu, p(nu))
         den = 3
         while True:
             for num in range(ceil((den + 1) / 2), den):
@@ -154,17 +159,7 @@ def sat(psi: CFormula, max_gates: int = DEFAULT_MAX_GATES) -> bool:
     """Satisfiability: some valuation passes the nu = 1 test or the interior
     query 1/2 < P_v(nu) < 1 for some nu in (1/2, 1)."""
     table = success_table(psi, max_gates=max_gates)
-    for p in dict.fromkeys(p for _, p in table):
-        if p(1) > HALF:
-            return True
-        conds = [
-            SignCondition(p - Polynomial.constant(HALF), ">"),
-            SignCondition(ONE - p, ">"),
-        ]
-        found, _ = exists_sat(conds, _OPEN_UNIT)
-        if found:
-            return True
-    return False
+    return any(_exceeds_half(p)[0] for p in dict.fromkeys(p for _, p in table))
 
 
 def _check_mu(mu_bar: Fraction) -> Fraction:

@@ -208,25 +208,19 @@ def positive_cells(
     return out
 
 
-def _alg_in_interval(a: AlgebraicNumber, iv: Interval) -> bool:
-    c_lo = a.compare(AlgebraicNumber.from_rational(iv.lo))
-    if c_lo < 0 or (c_lo == 0 and iv.lo_open):
-        return False
-    c_hi = a.compare(AlgebraicNumber.from_rational(iv.hi))
-    if c_hi > 0 or (c_hi == 0 and iv.hi_open):
-        return False
-    return True
-
-
 def lower_envelope_max(
     polys: Sequence[Polynomial], iv: Interval
 ) -> tuple[AlgebraicNumber, AlgebraicNumber, bool]:
     """Maximum over the closure of iv of min(P(x) for P in polys).
 
     Returns (sup, argmax, attained).  attained is True iff some maximizer
-    lies in iv itself, openness included.  The envelope is piecewise
-    polynomial, so its maximum over the closure occurs at an interval
-    endpoint, a root of some derivative, or a crossing of two members.
+    lies in iv itself, openness included.  The candidates are the interval
+    ends, the roots of every derivative and the crossings of every two
+    members.  Inside an open cell between consecutive candidates no member
+    crosses another or turns, so one member is minimal on the whole cell and
+    monotone there; one rational sample names it and its slope.  The
+    envelope is continuous, so it peaks only at a candidate where it rises
+    (or is flat) on the left and falls (or is flat) on the right.
     """
     polys = list(dict.fromkeys(polys))
     if not polys:
@@ -246,46 +240,34 @@ def lower_envelope_max(
                     candidates.extend(_roots_in(diff, closure))
     candidates = _sorted_unique(candidates)
 
-    # Active member of the envelope at each candidate, by exact sign tests.
-    active: list[tuple[AlgebraicNumber, Polynomial]] = []
-    for a in candidates:
-        best = polys[0]
-        for p in polys[1:]:
-            if a.sign_of_poly_at(p - best) < 0:
-                best = p
-        active.append((a, best))
+    # (active member, sign of its slope) per open cell; a point interval has
+    # no cell, and its one candidate takes the member least there.
+    cells: list[tuple[Polynomial, int]] = []
+    for a, b in zip(candidates, candidates[1:]):
+        x = simplest_between(*_rational_bounds_between(a, b))
+        p = min(polys, key=lambda q: q(x))
+        slope = p.derivative()(x)
+        cells.append((p, (slope > 0) - (slope < 0)))
+    if not cells:
+        cells.append((min(polys, key=lambda q: q(iv.lo)), 0))
 
-    # Exact-bound prefilter: discard candidates whose value enclosure lies
-    # strictly below some other candidate's lower bound.
-    enclosures: list[tuple[Fraction, Fraction]] = []
-    for a, p in active:
-        aa = a.refined_below(Fraction(1, 2**48))
-        if aa.is_rational:
-            v = p(aa.rational_value)
-            enclosures.append((v, v))
-        else:
-            enclosures.append(p.eval_interval(aa.interval.lo, aa.interval.hi))
-    floor = max(lo for lo, _ in enclosures)
-    survivors = [
-        (a, p) for (a, p), (_, hi) in zip(active, enclosures) if hi >= floor
+    # At a peak the envelope equals the member of the cell on its left, or
+    # on its right when there is none.
+    peaks: list[tuple[int, AlgebraicNumber, AlgebraicNumber]] = []
+    for i, a in enumerate(candidates):
+        left = cells[i - 1] if i > 0 else None
+        right = cells[i] if i < len(cells) else None
+        if (left is None or left[1] >= 0) and (right is None or right[1] <= 0):
+            member = (left or right)[0]
+            peaks.append((i, a, evaluate_poly_at(member, a)))
+    sup = peaks[0][2]
+    for _, _, v in peaks[1:]:
+        if v.compare(sup) > 0:
+            sup = v
+    winners = [(i, a) for i, a, v in peaks if v.compare(sup) == 0]
+    last = len(candidates) - 1
+    inside = [
+        a for i, a in winners
+        if not (i == 0 and iv.lo_open or i == last and iv.hi_open)
     ]
-
-    values = [evaluate_poly_at(p, a) for a, p in survivors]
-    best_idx = 0
-    for k in range(1, len(values)):
-        if values[k].compare(values[best_idx]) > 0:
-            best_idx = k
-    sup = values[best_idx]
-    winners = [
-        survivors[k][0]
-        for k in range(len(values))
-        if values[k].compare(sup) == 0
-    ]
-    argmax = winners[0]
-    attained = False
-    for w in winners:
-        if _alg_in_interval(w, iv):
-            argmax = w
-            attained = True
-            break
-    return sup, argmax, attained
+    return sup, (inside or [winners[0][1]])[0], bool(inside)

@@ -129,9 +129,6 @@ class Polynomial:
 
     __divmod__ = divmod
 
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[0]
-
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return self.divmod(other)[1]
 
@@ -203,6 +200,10 @@ MAX_DEPTH = 100
 # power that would exceed the limit is computed.
 MAX_DEGREE = 256
 
+# Largest accepted bit length of a numerator or denominator in a parsed
+# polynomial; a power is checked before it is computed, as for the degree.
+MAX_COEFF_BITS = 4096
+
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
 
 
@@ -255,9 +256,9 @@ class _PolyParser:
                 self.next()
             acc = self.term()
         while self.peek() in ("+", "-"):
-            op, _ = self.next()
+            op, pos = self.next()
             t = self.term()
-            acc = acc + t if op == "+" else acc - t
+            acc = self.check_coeffs(acc + t if op == "+" else acc - t, pos)
         return acc
 
     def term(self) -> Polynomial:
@@ -267,11 +268,11 @@ class _PolyParser:
             rhs = self.power()
             if op == "*":
                 self.check_degree(acc.degree + rhs.degree, pos)
-                acc = acc * rhs
+                acc = self.check_coeffs(acc * rhs, pos)
             else:
                 if rhs.degree != 0 or rhs.is_zero:
                     raise ParseError("division only by a nonzero constant", pos)
-                acc = acc.scale(1 / rhs.coeffs[0])
+                acc = self.check_coeffs(acc.scale(1 / rhs.coeffs[0]), pos)
         return acc
 
     def power(self) -> Polynomial:
@@ -287,6 +288,10 @@ class _PolyParser:
                     f"exponent {n} exceeds the degree limit of {MAX_DEGREE}", tpos
                 )
             self.check_degree(base.degree * n, tpos)
+            # a coefficient of base^n sums at most t^n products of n
+            # coefficients of the t terms of base
+            bits = n * (_coeff_bits(base) + len(base.coeffs).bit_length())
+            self.check_bits(bits, tpos)
             return base ** n
         return base
 
@@ -295,6 +300,16 @@ class _PolyParser:
             raise ParseError(
                 f"polynomial degree {degree} exceeds the limit of {MAX_DEGREE}", pos
             )
+
+    def check_bits(self, bits: int, pos: int) -> None:
+        if bits > MAX_COEFF_BITS:
+            raise ParseError(
+                f"coefficients over the limit of {MAX_COEFF_BITS} bits", pos
+            )
+
+    def check_coeffs(self, p: Polynomial, pos: int) -> Polynomial:
+        self.check_bits(_coeff_bits(p), pos)
+        return p
 
     def atom(self) -> Polynomial:
         tok, pos = self.next()
@@ -314,10 +329,17 @@ class _PolyParser:
             self.depth -= 1
             return p
         if tok.isdigit():
-            return Polynomial.constant(int(tok))
+            self.check_bits(3 * (len(tok) - 1), pos)  # 10^(d-1) > 2^(3(d-1))
+            return self.check_coeffs(Polynomial.constant(int(tok)), pos)
         if tok == self.var:
             return Polynomial([0, 1])
         raise ParseError(f"unexpected token {tok!r}", pos)
+
+
+def _coeff_bits(p: Polynomial) -> int:
+    """Largest bit length of a numerator or denominator of p."""
+    sizes = (max(abs(c.numerator), c.denominator) for c in p.coeffs)
+    return max(sizes, default=0).bit_length()
 
 
 def parse_polynomial(text: str, var: str = "nu") -> Polynomial:

@@ -3,12 +3,13 @@ import json
 import random
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 from formula_gen import random_cformula
 from uclogic.cli import main
 from uclogic.errors import UCLError
 from uclogic.formulas import MAX_DEPTH, apply_pattern, fau, format_cformula
-from uclogic.polynomials import Polynomial, format_polynomial
+from uclogic.polynomials import Polynomial, format_polynomial, parse_polynomial
 from uclogic.semantics import pattern_probability
 
 PMC_SCENARIO = "(iff (or (or (not? x) (not? x)) (not? x)) (or x (not x)))"
@@ -204,6 +205,24 @@ def test_ambition_degree_limit_exits_two(capsys):
         code, _, err = run(capsys, "entails", "-f", "(or? x y)",
                            "--gamma", f"mu <= {bound}")
         assert code in (0, 1), (bound, err)
+
+
+def test_ambition_coefficient_limit_exits_two(capsys):
+    for bound in ("(2^256)^256", "(((2^256)^256)^256)^256"):
+        started = time.perf_counter()
+        code, _, err = run(capsys, "entails", "-f", "(or? x y)",
+                           "--gamma", f"mu <= {bound}")
+        assert code == 2 and "limit" in err and "4300" not in err, bound
+        assert time.perf_counter() - started < 1.0, bound
+
+
+def test_kernel_benchmark_bounds_parse():
+    refs = Path(__file__).resolve().parent.parent / "bench" / "refs" / "kernel.json"
+    bounds = [b for item in json.loads(refs.read_text())["items"]
+              for b in item["gammas"].values()]
+    assert bounds
+    for b in bounds:
+        parse_polynomial(b)
 
 
 def _nested(depth):

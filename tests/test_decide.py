@@ -5,9 +5,18 @@ import numpy as np
 import pytest
 
 from uclogic.algebraic import AlgebraicNumber, evaluate_poly_at
-from uclogic.decide import SignCondition, exists_sat, lower_envelope_max
-from uclogic.polynomials import Polynomial
+from uclogic.decide import (
+    SignCondition,
+    _roots_in,
+    _sorted_unique,
+    exists_sat,
+    lower_envelope_max,
+)
+from uclogic.polynomials import ONE, Polynomial
 from uclogic.roots import Interval
+from uclogic.semantics import success_table
+
+from formula_gen import random_cformula
 
 
 def poly(*coeffs):
@@ -155,3 +164,189 @@ def test_envelope_sup_is_algebraic_when_needed():
     # argmax satisfies nu^2 + nu - 1 = 0; sup equals the shared value there
     assert argmax.sign_of_poly_at(poly(-1, 1, 1)) == 0
     assert sup.equals(evaluate_poly_at(poly(1, -1), argmax))
+
+
+# --- the all-pairs envelope with exact sign tests, kept as the oracle -----
+
+
+def _alg_in_interval(a: AlgebraicNumber, iv: Interval) -> bool:
+    c_lo = a.compare(AlgebraicNumber.from_rational(iv.lo))
+    if c_lo < 0 or (c_lo == 0 and iv.lo_open):
+        return False
+    c_hi = a.compare(AlgebraicNumber.from_rational(iv.hi))
+    if c_hi > 0 or (c_hi == 0 and iv.hi_open):
+        return False
+    return True
+
+
+def _envelope_by_sign_tests(polys, iv):
+    """Active member at every candidate by sign_of_poly_at(p - best), then
+    an enclosure prefilter and exact values of the survivors."""
+    polys = list(dict.fromkeys(polys))
+    if not polys:
+        raise ValueError("empty polynomial set")
+    closure = iv.closure()
+    candidates: list[AlgebraicNumber] = [AlgebraicNumber.from_rational(iv.lo)]
+    if not iv.is_point:
+        candidates.append(AlgebraicNumber.from_rational(iv.hi))
+        for p in polys:
+            dp = p.derivative()
+            if not dp.is_zero:
+                candidates.extend(_roots_in(dp, closure))
+        for i in range(len(polys)):
+            for j in range(i + 1, len(polys)):
+                diff = polys[i] - polys[j]
+                if not diff.is_zero:
+                    candidates.extend(_roots_in(diff, closure))
+    candidates = _sorted_unique(candidates)
+
+    # Active member of the envelope at each candidate, by exact sign tests.
+    active: list[tuple[AlgebraicNumber, Polynomial]] = []
+    for a in candidates:
+        best = polys[0]
+        for p in polys[1:]:
+            if a.sign_of_poly_at(p - best) < 0:
+                best = p
+        active.append((a, best))
+
+    # Exact-bound prefilter: discard candidates whose value enclosure lies
+    # strictly below some other candidate's lower bound.
+    enclosures: list[tuple[F, F]] = []
+    for a, p in active:
+        aa = a.refined_below(F(1, 2**48))
+        if aa.is_rational:
+            v = p(aa.rational_value)
+            enclosures.append((v, v))
+        else:
+            enclosures.append(p.eval_interval(aa.interval.lo, aa.interval.hi))
+    floor = max(lo for lo, _ in enclosures)
+    survivors = [
+        (a, p) for (a, p), (_, hi) in zip(active, enclosures) if hi >= floor
+    ]
+
+    values = [evaluate_poly_at(p, a) for a, p in survivors]
+    best_idx = 0
+    for k in range(1, len(values)):
+        if values[k].compare(values[best_idx]) > 0:
+            best_idx = k
+    sup = values[best_idx]
+    winners = [
+        survivors[k][0]
+        for k in range(len(values))
+        if values[k].compare(sup) == 0
+    ]
+    argmax = winners[0]
+    attained = False
+    for w in winners:
+        if _alg_in_interval(w, iv):
+            argmax = w
+            attained = True
+            break
+    return sup, argmax, attained
+
+
+ENDS = [
+    Interval(F(1, 2), F(1), lo_open=lo_open, hi_open=hi_open)
+    for lo_open in (False, True)
+    for hi_open in (False, True)
+]
+
+
+def assert_matches_oracle(polys, iv):
+    sup, argmax, attained = lower_envelope_max(polys, iv)
+    o_sup, o_argmax, o_attained = _envelope_by_sign_tests(polys, iv)
+    assert sup.compare(o_sup) == 0, (polys, iv, sup, o_sup)
+    assert argmax.compare(o_argmax) == 0, (polys, iv, argmax, o_argmax)
+    assert attained == o_attained, (polys, iv)
+
+
+def test_envelope_matches_oracle_on_success_polynomials():
+    rng = random.Random(7070)
+    seen = 0
+    while seen < 25:
+        psi = random_cformula(rng, max_depth=4, max_gates=6)
+        polys = list(dict.fromkeys(p for _, p in success_table(psi)))
+        if len(polys) < 2:
+            continue
+        seen += 1
+        assert_matches_oracle(polys + [ONE], HALF_OPEN)
+
+
+def _random_poly(rng, max_degree=6):
+    deg = rng.randint(0, max_degree)
+    return Polynomial([F(rng.randint(-12, 12), rng.randint(1, 4))
+                       for _ in range(deg + 1)])
+
+
+@pytest.mark.parametrize(
+    "seed, iv",
+    enumerate(ENDS + [Interval(F(0), F(1)), Interval.point(F(3, 4))]),
+)
+def test_envelope_matches_oracle_on_random_sets(seed, iv):
+    rng = random.Random(500 + seed)
+    for _ in range(20):
+        polys = [_random_poly(rng) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:
+            polys.append(ONE)
+        if rng.random() < 0.4:
+            # a member tangent to another at a rational point inside
+            r = F(rng.randint(1, 9), 10) * (iv.hi - iv.lo) + iv.lo
+            c = F(rng.choice([-3, -1, 1, 2]))
+            polys.append(polys[0] + poly(r * r, -2 * r, 1).scale(c))
+        assert_matches_oracle(polys, iv)
+
+
+def test_envelope_matches_oracle_where_every_member_is_active():
+    # Tangent lines of a concave curve, plus one shared cubic: each member is
+    # the minimum near its own point of tangency, so every member matters.
+    rng = random.Random(3131)
+    for _ in range(10):
+        points = sorted({F(rng.randint(51, 99), 100) for _ in range(rng.randint(2, 6))})
+        curve = poly(0, 3, -2) + poly(0, 0, 0, rng.randint(-1, 0))
+        slope = curve.derivative()
+        lines = [poly(curve(t) - slope(t) * t, slope(t)) for t in points]
+        wobble = poly(0, 0, 0, F(rng.randint(-2, 2), 100))
+        lines = [q + wobble for q in lines]
+        for iv in ENDS:
+            assert_matches_oracle(lines, iv)
+
+
+@pytest.mark.parametrize("polys", [
+    # ties at nu = 1: several members reach their common maximum there
+    [poly(0, 1), poly(0, 0, 1), ONE],
+    [poly(0, 2, -1), poly(1), poly(F(1, 2), F(1, 2))],
+    # a tangency at an interior maximum
+    [poly(F(-1, 2), 3, -2), poly(F(-1, 2), 3, -2) + poly(F(9, 16), F(-3, 2), 1)],
+    # two members meeting at their common peak from both sides
+    [poly(-1, 4, -2), poly(F(-3, 4), 3, -F(3, 2))],
+    # constant members: flat cells, and a flat stretch of maxima
+    [poly(F(3, 4)), poly(0, 1) + poly(F(1, 4)), ONE],
+    [poly(F(3, 4)), poly(F(5, 4), -1), poly(F(-1, 4), 1) + poly(F(1, 2))],
+    [poly(F(3, 5)), poly(F(3, 5))],
+    # the supremum only at the open left end
+    [poly(1, 0, 0, -1), poly(0, 3, -3, 1)],
+    # an irrational crossing
+    [poly(0, 0, 1), poly(1, -1)],
+])
+def test_envelope_matches_oracle_on_ties_and_flat_cells(polys):
+    for iv in ENDS + [Interval(F(0), F(1)), Interval.point(F(1)),
+                      Interval.point(F(1, 2))]:
+        assert_matches_oracle(polys, iv)
+
+
+def test_envelope_makes_no_sign_test(monkeypatch):
+    calls = []
+    for name in ("sign_of_poly_at", "refined_below"):
+        original = getattr(AlgebraicNumber, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(AlgebraicNumber, name, counted)
+    rng = random.Random(11)
+    for _ in range(5):
+        polys = [_random_poly(rng) for _ in range(4)] + [ONE]
+        lower_envelope_max(polys, HALF_OPEN)
+    lower_envelope_max([poly(0, 0, 1), poly(1, -1)], Interval(F(0), F(1)))
+    assert calls == []

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from uclogic.errors import ParseError
 from uclogic.polynomials import (
+    MAX_COEFF_BITS,
     MAX_DEGREE,
     ONE,
     ZERO,
@@ -138,6 +139,23 @@ def test_degree_limit():
         f"(nu^2)^{MAX_DEGREE // 2 + 1}",  # degree of a power
         f"nu^{MAX_DEGREE} * nu",  # degree of a product
         f"(1 + nu^{MAX_DEGREE}) * (nu - 1)",
+    ):
+        with pytest.raises(ParseError, match="limit"):
+            parse_polynomial(text)
+
+
+def test_coefficient_limit():
+    assert parse_polynomial("(nu + 1)^256") == (NU + ONE) ** 256
+    assert parse_polynomial("(2^200)^20") == Polynomial.constant(2**4000)
+    assert parse_polynomial("3" * (MAX_COEFF_BITS // 4)).coeffs[0] > 0
+    for text in (
+        "(2^256)^256",  # a power, refused before it is computed
+        "(((2^256)^256)^256)^256",
+        "(2^200)^20 * (2^200)^20",  # a product
+        "nu / ((2^200)^20 + 1) / ((2^200)^20 + 1)",  # a quotient
+        "1/((2^200)^20 + 1) + 1/((2^200)^20 + 3)",  # a sum
+        "9" * 1300,  # a literal
+        "9" * 5000,  # a literal beyond Python's int-from-string limit
     ):
         with pytest.raises(ParseError, match="limit"):
             parse_polynomial(text)
