@@ -2,7 +2,9 @@
 
 Each procedure builds per-valuation success polynomials and dispatches
 univariate sign queries to the exact kernel, once per distinct polynomial,
-since many valuations share one.  The required success rate mu never
+since many valuations share one.  The procedures monotone in the success
+polynomial (enta, arr, rrd, osc) send only the least polynomials on
+[1/2, 1] (see _least).  The required success rate mu never
 reaches the kernel: it is bounded only from below by strict terms and from
 above by non-strict terms, so it is eliminated symbolically (see enta).
 """
@@ -11,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
-from typing import Mapping, Optional, Sequence
+from math import ceil, lcm
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebraic import AlgebraicNumber
 from .decide import SignCondition, exists_sat, lower_envelope_max, positive_cells
@@ -29,6 +31,13 @@ from .semantics import (
 HALF = Fraction(1, 2)
 _HALF_OPEN_UNIT = Interval(HALF, 1, lo_open=True, hi_open=False)
 _OPEN_UNIT = Interval(HALF, 1, lo_open=True, hi_open=True)
+
+# Smallest accepted optimum tolerance: eps's denominator may have at most
+# this many bits, so eps > 2^-1024.  Certifying the pair refines the optimum
+# to about eps, one bisection per bit.
+MAX_EPS_BITS = 1024
+# Finest accepted abduction grid: k cells of (1/2, 1], each listed.
+MAX_GRID_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -60,6 +69,47 @@ class Optimum:
     diagnostic: str = ""
 
 
+def _taylor_shift(a: list[int]) -> list[int]:
+    """Coefficients of a(x + 1), from those of a(x), constant term first."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _least(polys: Iterable[Polynomial]) -> list[Polynomial]:
+    """The distinct polys in first-occurrence order, less every p that lies
+    at or above another member q on [1/2, 1] by the Bernstein bound.
+
+    A polynomial's Bernstein coefficients on an interval enclose its values
+    there (Lane & Riesenfeld, BIT 1981), so when those of p - q on [1/2, 1]
+    are all >= 0, p >= q on the closed interval.  At the common degree d
+    and a common denominator L, the coefficients are taken as the integers
+    c_i = 2^d * L * C(d, i) * b_i: with x = (1 + t)/2, 2^d * L * p(x) is a
+    polynomial e(t), and c_i is the coefficient of s^i in
+    sum_j e_j s^j (1 + s)^(d - j); both steps are Taylor shifts by 1.  The
+    test is then c(p) >= c(q) elementwise.  A dominating q has a smaller
+    coefficient sum and dominance is transitive, so deciding candidates by
+    ascending sum against the survivors so far drops exactly the dominated.
+    """
+    distinct = list(dict.fromkeys(polys))
+    d = max([0] + [p.degree for p in distinct])
+    scale = lcm(*(c.denominator for p in distinct for c in p.coeffs))
+    bern: list[list[int]] = []
+    for p in distinct:
+        a = [c.numerator * (scale // c.denominator) << (d - k)
+             for k, c in enumerate(p.coeffs)]
+        e = _taylor_shift(a + [0] * (d + 1 - len(a)))
+        bern.append(_taylor_shift(e[::-1])[::-1])
+    # indices, not polynomials: hashing a polynomial hashes every Fraction
+    kept: list[int] = []
+    for i in sorted(range(len(distinct)), key=lambda i: sum(bern[i])):
+        if not any(all(x >= y for x, y in zip(bern[i], bern[j])) for j in kept):
+            kept.append(i)
+    return [distinct[i] for i in sorted(kept)]
+
+
 def enta(query: EntaQuery, max_gates: int = DEFAULT_MAX_GATES) -> bool:
     """Is psi entailed by the ambition formulas, over every interpretation?
 
@@ -74,7 +124,8 @@ def enta(query: EntaQuery, max_gates: int = DEFAULT_MAX_GATES) -> bool:
         for g in query.gamma
     ]
     table = success_table(query.psi, max_gates=max_gates)
-    for p in dict.fromkeys(p for _, p in table):
+    # a member below p has a countermodel wherever p has one
+    for p in _least(p for _, p in table):
         conds = [SignCondition(ONE - p, ">")]
         for b, above_half in bounds:
             conds += [SignCondition(b - p, ">"), above_half]
@@ -185,10 +236,15 @@ def arr(
     mu_bar = _check_mu(mu_bar)
     if k < 1:
         raise ValueError("k must be a positive natural number")
+    if k > MAX_GRID_CELLS:
+        raise ValueError(
+            f"k = {k} exceeds the limit of {MAX_GRID_CELLS} grid cells"
+        )
     table = success_table(psi, max_gates=max_gates)
     target = Polynomial.constant(mu_bar)
     excluded: set[int] = set()
-    for p in dict.fromkeys(p for _, p in table):
+    # a member below p excludes every cell that p excludes
+    for p in _least(p for _, p in table):
         excluded |= positive_cells(target - p, HALF, Fraction(1), k)
     return AbductionResult(tuple(
         Interval(HALF + Fraction(j, 2 * k), HALF + Fraction(j + 1, 2 * k),
@@ -204,9 +260,10 @@ def rrd(
     valuation?"""
     mu_bar = _check_mu(mu_bar)
     table = success_table(psi, max_gates=max_gates)
+    # p >= mu_bar wherever a member below p is
     conds = [
         SignCondition(p - Polynomial.constant(mu_bar), ">=")
-        for p in dict.fromkeys(p for _, p in table)
+        for p in _least(p for _, p in table)
     ]
     found, _ = exists_sat(conds, _HALF_OPEN_UNIT)
     return found
@@ -223,13 +280,19 @@ def osc(
     P_v(nu), capped at 1; the optimum is the maximum of this lower envelope.
     Feasible means the maximum exceeds 1/2 and is attained inside the
     half-open interval; a supremum only approached at the excluded boundary
-    admits no witnessing interpretation.
+    admits no witnessing interpretation.  The envelope is taken over the
+    least members only, which leaves its values on [1/2, 1] unchanged.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if eps.denominator.bit_length() > MAX_EPS_BITS:
+        raise ValueError(
+            f"eps has a {eps.denominator.bit_length()}-bit denominator, over "
+            f"the limit of {MAX_EPS_BITS} bits"
+        )
     table = success_table(psi, max_gates=max_gates)
-    polys = [p for _, p in table] + [ONE]
+    polys = _least([p for _, p in table] + [ONE])
     sup, argmax, attained = lower_envelope_max(polys, _HALF_OPEN_UNIT)
     half_alg = AlgebraicNumber.from_rational(HALF)
     above_half = sup.compare(half_alg) > 0
@@ -281,6 +344,9 @@ def _certified_pair(
     if argmax.is_rational:
         nu_hat = argmax.rational_value
         return nu_hat, _envelope_value(polys, nu_hat)
+    # refined once here, so no comparison below starts from the coarse
+    # isolator again
+    sup = sup.refined_below(eps / 4)
     a = argmax
     while True:
         a = a.refined()

@@ -5,7 +5,20 @@ from math import ceil
 import pytest
 
 from formula_gen import pl_corpus, random_cformula, truth_table_sat, truth_table_valid
-from uclogic.algorithms import EntaQuery, WitnessResult, arr, enta, osc, pmc, rrd, sat
+from uclogic.algebraic import AlgebraicNumber
+from uclogic.algorithms import (
+    MAX_EPS_BITS,
+    MAX_GRID_CELLS,
+    EntaQuery,
+    WitnessResult,
+    _least,
+    arr,
+    enta,
+    osc,
+    pmc,
+    rrd,
+    sat,
+)
 from uclogic.decide import SignCondition, exists_sat, positive_cells
 from uclogic.formulas import parse_cformula, variables
 from uclogic.polynomials import ONE, ZERO, Polynomial, simplest_between
@@ -360,3 +373,193 @@ def test_pl_corpus_sample_equivalence():
     for f in rng.sample(corpus, 150):
         assert enta(EntaQuery(f)) == truth_table_valid(f)
         assert sat(f) == truth_table_sat(f)
+
+
+# --- the least success polynomials (_least) --------------------------------
+
+
+def _p(*coeffs):
+    return Polynomial([F(c) for c in coeffs])
+
+
+NU = _p(0, 1)
+# hand-made sets: ties, members touching another at one point, ZERO, single
+# members, rational coefficients.  A flat stretch of maxima above 0 (only in
+# the last set) starts at a crossing of two survivors, so nu_star keeps it.
+HAND_MADE = [
+    [NU, _p(0, 0, 1), ONE],                               # tie at nu = 1
+    [NU, NU, _p(0, 2, -1), NU],                           # duplicates
+    [_p(0, 2, -1), _p(0, 2, -1) + _p(1, -2, 1)],          # touch at nu = 1
+    [_p(-1, 4, -2), _p(-1, 4, -2) + _p(F(1, 4), -1, 1)],  # touch at nu = 1/2
+    [_p(F(-1, 2), 3, -2), _p(F(-1, 2), 3, -2) + _p(F(9, 16), F(-3, 2), 1)],
+    [_p(0, 0, 1), _p(1, -1), ONE],                        # irrational peak
+    [ZERO, NU, ONE],
+    [NU, ZERO, _p(0, 0, 1)],
+    [_p(0, 0, 1)],
+    [ONE],
+    [ZERO],
+    [_p(F(1, 3), F(1, 2)), _p(F(2, 7), F(5, 9)), _p(F(-1, 5), F(6, 5), F(1, 10))],
+    [ZERO, _p(0, 0, 1), _p(1, -1)],     # ZERO with an interior crossing
+    [_p(F(1, 2), 1), _p(0, 0, 2)],      # members above 1, capped by ONE
+]
+
+
+def _seeded_tables(count=30, seed=2024):
+    rng = random.Random(seed)
+    for _ in range(count):
+        psi = random_cformula(rng, max_depth=4, max_gates=5)
+        yield psi, [p for _, p in success_table(psi)]
+
+
+def _sympy_at_least(sympy, p, q):
+    """p >= q on [1/2, 1] by sympy: p - q has no root of odd multiplicity
+    inside, and is >= 0 at 17 samples and > 0 at one of them."""
+    nu = sympy.Symbol("nu")
+    half = sympy.Rational(1, 2)
+    diff = sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator)
+         for c in reversed((p - q).coeffs)], nu)
+    for f, mult in diff.sqf_list()[1]:
+        if mult % 2:
+            ends = (f.eval(half) == 0) + (f.eval(1) == 0)
+            if f.count_roots(half, 1) - ends:
+                return False
+    samples = [diff.eval(sympy.Rational(k, 32)) for k in range(16, 33)]
+    return min(samples) >= 0 and max(samples) > 0
+
+
+def test_least_drops_only_dominated_members():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(77)
+    sets = [polys + [ONE] for _, polys in _seeded_tables()] + HAND_MADE
+    for _ in range(30):
+        sets.append([Polynomial([F(rng.randint(-9, 9), rng.randint(1, 6))
+                                 for _ in range(rng.randint(1, 6))])
+                     for _ in range(rng.randint(1, 6))])
+    dropped = 0
+    for polys in sets:
+        survivors = _least(polys)
+        assert survivors and set(survivors) <= set(polys)
+        for p in set(polys) - set(survivors):
+            dropped += 1
+            assert any(_sympy_at_least(sympy, p, q) for q in survivors), p
+    assert dropped >= 50
+
+
+def test_least_on_hand_made_sets():
+    expected = {
+        0: [_p(0, 0, 1)],         # nu - nu^2 touches 0 at nu = 1
+        1: [NU],                  # 2*nu - nu^2 >= nu
+        2: HAND_MADE[2][:1],      # (1 - nu)^2: Bernstein 1/4, 0, 0
+        3: HAND_MADE[3][:1],      # (nu - 1/2)^2: Bernstein 0, 0, 1/4
+        4: HAND_MADE[4],          # a touch inside is never dropped
+        5: HAND_MADE[5][:2],
+        6: [ZERO],
+        7: [ZERO],
+    }
+    for i, survivors in expected.items():
+        assert _least(HAND_MADE[i]) == survivors, i
+
+
+def test_least_keeps_first_occurrence_order():
+    # 3/4 and nu^2 cross inside (1/2, 1); nu^3 + 1 lies above both
+    a, b, c = _p(F(3, 4)), _p(0, 0, 1), _p(1, 0, 0, 1)
+    assert _least([a, c, b, a, b]) == [a, b]
+    assert _least([c, b, a]) == [b, a]
+    assert _least([b]) == [b]
+    assert _least([NU, NU]) == [NU]
+    # every success polynomial is >= 0 on [1/2, 1]
+    assert _least([NU, ZERO, ONE, ZERO]) == [ZERO]
+    for _, polys in _seeded_tables(count=10):
+        survivors = _least(polys)
+        first = list(dict.fromkeys(polys))
+        assert survivors == [p for p in first if p in survivors]
+
+
+def _unpruned(monkeypatch, procedure, *args):
+    """The procedure with every distinct polynomial sent to the kernel."""
+    with monkeypatch.context() as m:
+        m.setattr("uclogic.algorithms._least",
+                  lambda polys: list(dict.fromkeys(polys)))
+        return procedure(*args)
+
+
+def _assert_prunes_nothing_that_matters(monkeypatch, psi, polys):
+    gammas = ((), (parse_ambition("mu <= nu"),),
+              (parse_ambition("mu <= 2*nu - nu^2"), parse_ambition("mu <= 9/10")))
+    for g in gammas:
+        q = EntaQuery(psi, g)
+        assert enta(q) == _unpruned(monkeypatch, enta, q)
+    for mu_bar in (F(3, 5), F(9, 10), F(1)):
+        assert rrd(psi, mu_bar) == _unpruned(monkeypatch, rrd, psi, mu_bar)
+        assert arr(psi, mu_bar, 7) == _unpruned(monkeypatch, arr, psi, mu_bar, 7)
+    opt, ref = osc(psi), _unpruned(monkeypatch, osc, psi)
+    assert (opt.feasible, opt.attained, opt.certified_pair, opt.diagnostic) == (
+        ref.feasible, ref.attained, ref.certified_pair, ref.diagnostic)
+    assert opt.mu_star.compare(ref.mu_star) == 0
+    assert opt.mu_star.compare(AlgebraicNumber.from_rational(1)) <= 0  # capped
+    if ZERO in polys:
+        # the envelope is 0 throughout: the least set is {ZERO}, whose only
+        # candidates are the ends, and the closed end 1 is taken
+        assert opt.nu_star.compare(AlgebraicNumber.from_rational(1)) == 0
+    else:
+        assert opt.nu_star.compare(ref.nu_star) == 0
+
+
+def test_pruned_procedures_match_unpruned_on_seeded_formulas(monkeypatch):
+    pruned = 0
+    for psi, polys in _seeded_tables():
+        pruned += len(_least(polys + [ONE])) < len(set(polys + [ONE]))
+        _assert_prunes_nothing_that_matters(monkeypatch, psi, polys)
+    assert pruned >= 20
+
+
+@pytest.mark.parametrize("polys", HAND_MADE)
+def test_pruned_procedures_match_unpruned_on_hand_made_sets(monkeypatch, polys):
+    monkeypatch.setattr("uclogic.algorithms.success_table",
+                        lambda psi, max_gates: [({}, p) for p in polys])
+    _assert_prunes_nothing_that_matters(monkeypatch, parse_cformula("x"), polys)
+
+
+def test_zero_envelope_takes_nu_star_one():
+    # all candidates peak on a zero envelope; without pruning the first
+    # interior one, a root of nu^2 + nu - 1, was taken
+    psi = parse_cformula("(maj3 (nimp (and? x5 x4) x1) x3 (or? (or x2 x2) x1))")
+    assert ZERO in {p for _, p in success_table(psi)}
+    opt = osc(psi)
+    assert not opt.feasible and opt.attained
+    assert opt.mu_star.rational_value == 0
+    assert opt.nu_star.rational_value == 1
+
+
+def test_osc_refines_the_optimum_once(monkeypatch):
+    # an irrational optimum certified at a small eps: the comparisons start
+    # from sup refined below eps / 4, not from its coarse isolator
+    psi = parse_cformula("(nand? (not (xor? y y)) (iff? (xor (not y) x) x))")
+    eps = F(1, 10**40)
+    calls = []
+    original = AlgebraicNumber.refined
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(AlgebraicNumber, "refined", counting)
+    opt = osc(psi, eps=eps)
+    assert opt.feasible and not opt.mu_star.is_rational
+    nu_hat, mu_hat = opt.certified_pair
+    assert opt.mu_star.compare(AlgebraicNumber.from_rational(mu_hat + eps)) <= 0
+    for v in canonical_valuations(sorted(variables(psi))):
+        assert satisfies(Interpretation(v, nu_hat, mu_hat), psi)
+    assert len(calls) < 1000
+
+
+def test_limits_on_eps_and_k():
+    psi = parse_cformula("(or? x (not? x))")
+    with pytest.raises(ValueError, match="limit"):
+        osc(psi, eps=F(1, 2**MAX_EPS_BITS))
+    assert osc(psi, eps=F(1, 2**MAX_EPS_BITS - 1)).feasible
+    valid = parse_cformula("(or x (not x))")
+    with pytest.raises(ValueError, match="limit"):
+        arr(valid, F(7, 10), MAX_GRID_CELLS + 1)
+    assert len(arr(valid, F(7, 10), MAX_GRID_CELLS).intervals) == MAX_GRID_CELLS

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from formula_gen import random_cformula
+from uclogic.algorithms import MAX_EPS_BITS, MAX_GRID_CELLS
 from uclogic.cli import main
 from uclogic.errors import UCLError
 from uclogic.formulas import MAX_DEPTH, apply_pattern, fau, format_cformula
@@ -214,6 +215,40 @@ def test_ambition_coefficient_limit_exits_two(capsys):
                            "--gamma", f"mu <= {bound}")
         assert code == 2 and "limit" in err and "4300" not in err, bound
         assert time.perf_counter() - started < 1.0, bound
+
+
+def test_eps_limit_exits_two(capsys):
+    # an irrational optimum, so the certified pair refines it to about eps
+    psi = "(nand? (not (xor? y y)) (iff? (xor (not y) x) x))"
+    started = time.perf_counter()
+    code, _, err = run(capsys, "optimize", "-f", psi,
+                       "--eps", f"1/{2**MAX_EPS_BITS}")
+    assert code == 2 and "limit of 1024 bits" in err
+    assert time.perf_counter() - started < 1.0
+    # the smallest accepted eps finishes well within a minute (about 3 s)
+    eps = F(1, 2**MAX_EPS_BITS - 1)
+    started = time.perf_counter()
+    code, doc = run_json(capsys, "optimize", "-f", psi, "--eps", str(eps))
+    assert code == 0 and time.perf_counter() - started < 60
+    assert doc["payload"]["mu_star"]["kind"] == "algebraic"
+    pair = doc["payload"]["certified_pair"]
+    assert F(pair["mu"]) > F(1, 2) and F(doc["eps"]) == eps
+
+
+def test_grid_limit_exits_two(capsys):
+    started = time.perf_counter()
+    for k in (MAX_GRID_CELLS + 1, 1000000):
+        code, out, err = run(capsys, "abduce", "-f", "(or? x (not? x))",
+                             "--mu", "7/10", "--k", str(k))
+        assert code == 2 and not out
+        assert f"limit of {MAX_GRID_CELLS} grid cells" in err
+    assert time.perf_counter() - started < 1.0
+    code, doc = run_json(capsys, "abduce", "-f", "(or? x (not? x))",
+                         "--mu", "7/10", "--k", str(MAX_GRID_CELLS))
+    assert code == 0
+    assert doc["payload"]["intervals"][-1] == {
+        "lo": f"{2 * MAX_GRID_CELLS - 1}/{2 * MAX_GRID_CELLS}", "hi": "1",
+        "lo_open": True, "hi_open": False}
 
 
 def test_kernel_benchmark_bounds_parse():
