@@ -2,8 +2,9 @@
 
 Exit codes: 0 affirmative verdict, 1 negative verdict, 2 usage, parse or
 other input error, 3 gate-count guard violation.  With --json a single
-object is written to stdout; rationals render exactly as "p/q", decimals
-only as annotations at the configured eps.
+object is written to stdout, the same bytes for the same arguments;
+rationals render exactly as "p/q", decimals only as annotations at the
+configured eps.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -322,10 +322,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first main() call and reused: parse_args leaves the parser
+# unchanged (an `append` option copies its default list), so main stays
+# re-entrant.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    started = time.perf_counter()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         code, verdict, payload, lines = _Runner(args).run()
     except GateLimitError as exc:
@@ -334,7 +341,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (UCLError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
     if args.json:
         print(
             json.dumps(
@@ -343,7 +349,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                     "verdict": verdict,
                     "payload": payload,
                     "eps": str(args.eps),
-                    "elapsed_ms": elapsed_ms,
                 }
             )
         )

@@ -106,8 +106,8 @@ def exists_sat(
     """
     work: list[SignCondition] = []
     for c in conds:
-        if c.poly.is_zero:
-            if not c.admits_sign(0):
+        if c.poly.degree < 1:  # a constant holds everywhere or nowhere
+            if not c.holds_at(iv.lo):
                 return False, None
         else:
             work.append(c)

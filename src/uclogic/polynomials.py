@@ -23,7 +23,7 @@ class Polynomial:
     __slots__ = ("coeffs", "_square_free", "_sturm")
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -221,6 +221,44 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
+# The parser's values are sparse, exponent -> nonzero coefficient, so that
+# a product with a monomial is a shift and a scale, a power of a monomial is
+# one power of its coefficient, and a sum touches only the exponents of its
+# terms: a canonical bound `c*nu^k + ...` parses in time linear in its text.
+Sparse = dict[int, Fraction]
+
+
+def _degree(p: Sparse) -> int:
+    return max(p, default=-1)
+
+
+def _coeff_bits(coeffs: Iterable[Fraction]) -> int:
+    """Largest bit length of a numerator or denominator of coeffs."""
+    sizes = (max(abs(c.numerator), c.denominator) for c in coeffs)
+    return max(sizes, default=0).bit_length()
+
+
+def _mul(a: Sparse, b: Sparse) -> Sparse:
+    out: Sparse = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            k = i + j
+            out[k] = out[k] + x * y if k in out else x * y
+    return {k: c for k, c in out.items() if c}
+
+
+def _pow(p: Sparse, n: int) -> Sparse:
+    if len(p) == 1:
+        ((j, c),) = p.items()
+        return {j * n: c**n}
+    result: Sparse = {0: Fraction(1)}
+    for bit in bin(n)[2:]:
+        result = _mul(result, result)
+        if bit == "1":
+            result = _mul(result, p)
+    return result
+
+
 class _PolyParser:
     """Recursive descent over +, -, *, /, ^ and parentheses."""
 
@@ -245,37 +283,52 @@ class _PolyParser:
         if self.i < len(self.tokens):
             tok, pos = self.tokens[self.i]
             raise ParseError(f"unexpected token {tok!r}", pos)
-        return p
+        return Polynomial([p.get(k, 0) for k in range(_degree(p) + 1)])
 
-    def expr(self) -> Polynomial:
+    def expr(self) -> Sparse:
         if self.peek() == "-":
             self.next()
-            acc = -self.term()
+            acc = {k: -c for k, c in self.term().items()}
         else:
             if self.peek() == "+":
                 self.next()
             acc = self.term()
+        # Each sum is checked, as a whole; only the first term and the
+        # coefficients the last term touched can be over the limit there.
+        unchecked = list(acc)
         while self.peek() in ("+", "-"):
             op, pos = self.next()
             t = self.term()
-            acc = self.check_coeffs(acc + t if op == "+" else acc - t, pos)
+            for k, c in t.items():
+                if k in acc:
+                    c = acc[k] + c if op == "+" else acc[k] - c
+                elif op == "-":
+                    c = -c
+                if c:
+                    acc[k] = c
+                else:
+                    del acc[k]
+            touched = (acc[k] for k in (*unchecked, *t) if k in acc)
+            self.check_bits(_coeff_bits(touched), pos)
+            unchecked = []
         return acc
 
-    def term(self) -> Polynomial:
+    def term(self) -> Sparse:
         acc = self.power()
         while self.peek() in ("*", "/"):
             op, pos = self.next()
             rhs = self.power()
             if op == "*":
-                self.check_degree(acc.degree + rhs.degree, pos)
-                acc = self.check_coeffs(acc * rhs, pos)
+                self.check_degree(_degree(acc) + _degree(rhs), pos)
+                acc = self.check_coeffs(_mul(acc, rhs), pos)
             else:
-                if rhs.degree != 0 or rhs.is_zero:
+                if list(rhs) != [0]:
                     raise ParseError("division only by a nonzero constant", pos)
-                acc = self.check_coeffs(acc.scale(1 / rhs.coeffs[0]), pos)
+                k = 1 / rhs[0]
+                acc = self.check_coeffs({e: c * k for e, c in acc.items()}, pos)
         return acc
 
-    def power(self) -> Polynomial:
+    def power(self) -> Sparse:
         base = self.atom()
         if self.peek() in ("^", "**"):
             _, pos = self.next()
@@ -287,12 +340,13 @@ class _PolyParser:
                 raise ParseError(
                     f"exponent {n} exceeds the degree limit of {MAX_DEGREE}", tpos
                 )
-            self.check_degree(base.degree * n, tpos)
-            # a coefficient of base^n sums at most t^n products of n
-            # coefficients of the t terms of base
-            bits = n * (_coeff_bits(base) + len(base.coeffs).bit_length())
+            degree = _degree(base)
+            self.check_degree(degree * n, tpos)
+            # a coefficient of base^n sums at most t^n products of n of the
+            # t = degree + 1 coefficients of base
+            bits = n * (_coeff_bits(base.values()) + (degree + 1).bit_length())
             self.check_bits(bits, tpos)
-            return base ** n
+            return _pow(base, n)
         return base
 
     def check_degree(self, degree: int, pos: int) -> None:
@@ -307,11 +361,11 @@ class _PolyParser:
                 f"coefficients over the limit of {MAX_COEFF_BITS} bits", pos
             )
 
-    def check_coeffs(self, p: Polynomial, pos: int) -> Polynomial:
-        self.check_bits(_coeff_bits(p), pos)
+    def check_coeffs(self, p: Sparse, pos: int) -> Sparse:
+        self.check_bits(_coeff_bits(p.values()), pos)
         return p
 
-    def atom(self) -> Polynomial:
+    def atom(self) -> Sparse:
         tok, pos = self.next()
         if tok in ("(", "-"):
             if self.depth == MAX_DEPTH:
@@ -325,21 +379,16 @@ class _PolyParser:
                 if close != ")":
                     raise ParseError("expected ')'", cpos)
             else:
-                p = -self.atom()
+                p = {k: -c for k, c in self.atom().items()}
             self.depth -= 1
             return p
         if tok.isdigit():
             self.check_bits(3 * (len(tok) - 1), pos)  # 10^(d-1) > 2^(3(d-1))
-            return self.check_coeffs(Polynomial.constant(int(tok)), pos)
+            c = int(tok)
+            return self.check_coeffs({0: Fraction(c)} if c else {}, pos)
         if tok == self.var:
-            return Polynomial([0, 1])
+            return {1: Fraction(1)}
         raise ParseError(f"unexpected token {tok!r}", pos)
-
-
-def _coeff_bits(p: Polynomial) -> int:
-    """Largest bit length of a numerator or denominator of p."""
-    sizes = (max(abs(c.numerator), c.denominator) for c in p.coeffs)
-    return max(sizes, default=0).bit_length()
 
 
 def parse_polynomial(text: str, var: str = "nu") -> Polynomial:

@@ -5,6 +5,7 @@ import time
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
 from formula_gen import random_cformula
 from uclogic.algorithms import MAX_EPS_BITS, MAX_GRID_CELLS
 from uclogic.cli import main
@@ -163,11 +164,10 @@ def test_outcomes_match_per_pattern_route(capsys):
         assert out == "\n".join(["pattern | outcome | probability", *lines,
                                  f"total probability: {total}"]) + "\n"
         code, out, _ = run(capsys, "outcomes", "-f", text, "--json")
-        doc = json.loads(out)
         assert out == json.dumps({
             "command": "outcomes", "verdict": 1,
             "payload": {"rows": rows, "total": total},
-            "eps": "1/1000000", "elapsed_ms": doc["elapsed_ms"],
+            "eps": "1/1000000",
         }) + "\n"
     assert {0, 8} <= sizes and len(sizes) >= 6
 
@@ -196,11 +196,18 @@ def test_witness_start_valuation_names_unknown_variable(capsys):
 
 
 def test_ambition_degree_limit_exits_two(capsys):
-    for bound in ("nu^3000", "nu^99999999999", "nu^200 * nu^200"):
+    # a position counts from the first character after "<="
+    for bound, message in {
+        "nu^3000": "exponent 3000 exceeds the degree limit of 256 (at position 4)",
+        "nu^99999999999":
+            "exponent 99999999999 exceeds the degree limit of 256 (at position 4)",
+        "nu^200 * nu^200":
+            "polynomial degree 400 exceeds the limit of 256 (at position 8)",
+    }.items():
         started = time.perf_counter()
         code, _, err = run(capsys, "entails", "-f", "(or? x y)",
                            "--gamma", f"mu <= {bound}")
-        assert code == 2 and "limit" in err, bound
+        assert code == 2 and err == f"error: {message}\n", bound
         assert time.perf_counter() - started < 1.0, bound
     for bound in ("nu^16", "1 - (1 - nu)^16", "nu^8 * (2 - nu)^8 / 256"):
         code, _, err = run(capsys, "entails", "-f", "(or? x y)",
@@ -209,11 +216,13 @@ def test_ambition_degree_limit_exits_two(capsys):
 
 
 def test_ambition_coefficient_limit_exits_two(capsys):
-    for bound in ("(2^256)^256", "(((2^256)^256)^256)^256"):
+    for bound, position in {"(2^256)^256": 9, "(((2^256)^256)^256)^256": 11}.items():
         started = time.perf_counter()
         code, _, err = run(capsys, "entails", "-f", "(or? x y)",
                            "--gamma", f"mu <= {bound}")
-        assert code == 2 and "limit" in err and "4300" not in err, bound
+        assert code == 2 and err == (
+            "error: coefficients over the limit of 4096 bits "
+            f"(at position {position})\n"), bound
         assert time.perf_counter() - started < 1.0, bound
 
 
@@ -273,7 +282,8 @@ def test_deep_nesting_exits_two(capsys):
         assert code == 2 and f"nested deeper than {MAX_DEPTH} levels" in err
     code, _, err = run(capsys, "entails", "-f", "x",
                        "--gamma", "mu <= " + "(" * 1500 + "nu" + ")" * 1500)
-    assert code == 2 and "nested deeper" in err
+    assert code == 2 and err == (
+        "error: expression nested deeper than 100 levels (at position 101)\n")
     # the deepest accepted formula runs through every recursive traversal
     for argv in (["entails"], ["outcomes"], ["witness"],
                  ["eval", "--assign", "x=1,y=0", "--nu", "3/4", "--mu", "3/4"]):
@@ -304,6 +314,13 @@ def test_gate_guard_env_override(capsys, monkeypatch):
     assert code == 3
     monkeypatch.setenv("UCL_MAX_GATES", "5")
     code, _, _ = run(capsys, "outcomes", "-f", "(and? (and? x y) (and? x y))")
+    assert code == 0
+    # read on every call, not once with the parser
+    monkeypatch.setenv("UCL_MAX_GATES", "2")
+    code, _, err = run(capsys, "sat", "-f", "(and? (and? x y) (and? x y))")
+    assert code == 3 and "exceeding the limit of 2" in err
+    monkeypatch.delenv("UCL_MAX_GATES")
+    code, _, _ = run(capsys, "sat", "-f", "(and? (and? x y) (and? x y))")
     assert code == 0
 
 
@@ -346,8 +363,60 @@ def test_query_commands_do_not_enumerate_outcomes(capsys, monkeypatch):
         assert code in (0, 1), (argv, err)
 
 
-def test_json_has_timing_and_eps(capsys):
-    code, doc = run_json(capsys, "sat", "-f", "x", "--eps", "1/1000")
-    assert code == 0
-    assert doc["eps"] == "1/1000"
-    assert isinstance(doc["elapsed_ms"], float)
+EVERY_COMMAND = [
+    ["entails", "-f", "(iff (or? x1 x2) (or x1 x2))", "--gamma", "mu <= nu"],
+    ["entails", "-f", "(or? x (not? x))"],
+    ["witness", "-f", PMC_SCENARIO, "--start-valuation", "x=1"],
+    ["witness", "-f", "(and x (not x))", "--mode", "fast"],
+    ["sat", "-f", "x", "--eps", "1/1000"],
+    ["abduce", "-f", "(or? x (not? x))", "--mu", "7/10", "--k", "4"],
+    ["decide-rate", "-f", "(or? x (not? x))", "--mu", "7/10"],
+    ["optimize", "-f", "(nand? (not (xor? y y)) (iff? (xor (not y) x) x))"],
+    ["optimize", "-f", PMC_SCENARIO, "--eps", "1/1000"],
+    ["eval", "-f", "(or? x (not? x))", "--assign", "x=0", "--nu", "3/4",
+     "--mu", "5/8"],
+    ["outcomes", "-f", "(and? x (or? y x))"],
+]
+
+
+def test_json_is_deterministic(capsys):
+    """--json writes the same bytes for the same arguments: the command,
+    the verdict, the payload and eps, and nothing that varies per run."""
+    for argv in EVERY_COMMAND:
+        code, first, err = run(capsys, *argv, "--json")
+        assert code in (0, 1) and not err, argv
+        again = run(capsys, *argv, "--json")
+        assert again == (code, first, err), argv
+        doc = json.loads(first)
+        assert list(doc) == ["command", "verdict", "payload", "eps"], argv
+        assert doc["command"] == argv[0]
+        eps = argv[argv.index("--eps") + 1] if "--eps" in argv else "1/1000000"
+        assert doc["eps"] == eps
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    code, doc = run_json(capsys, "entails", "-f", "(or? x y)",
+                         "--gamma", "mu <= nu", "--gamma", "mu <= nu^2")
+    assert code in (0, 1)
+    assert doc["payload"]["gamma"] == ["mu <= nu", "mu <= nu^2"]
+    code, doc = run_json(capsys, "entails", "-f", "(or? x y)")
+    assert code == 1 and doc["payload"]["gamma"] == []
+    code, doc = run_json(capsys, "entails", "-f", "(or? x y)",
+                         "--gamma", "mu <= nu")
+    assert doc["payload"]["gamma"] == ["mu <= nu"]
+
+
+def test_parser_recovers_after_a_rejected_call(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["entails", "--gamma", "mu <= nu"])  # no -f
+    assert exc.value.code == 2
+    assert "-f/--formula" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["abduce", "-f", "x", "--mu", "two", "--k", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, doc = run_json(capsys, "sat", "-f", "x")
+    assert code == 0 and doc["eps"] == "1/1000000"
+    code, doc = run_json(capsys, "abduce", "-f", "(or? x (not? x))",
+                         "--mu", "7/10", "--k", "4")
+    assert code == 0 and doc["payload"]["k"] == 4

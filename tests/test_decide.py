@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -6,6 +7,7 @@ import pytest
 
 from uclogic.algebraic import AlgebraicNumber, evaluate_poly_at
 from uclogic.decide import (
+    _RELATIONS,
     SignCondition,
     _roots_in,
     _sorted_unique,
@@ -56,6 +58,59 @@ def test_exists_sat_zero_poly_shortcut():
     assert not found
     found, w = exists_sat([SignCondition(Polynomial(), "==")], HALF_OPEN)
     assert found and F(1, 2) < w <= 1
+
+
+POINT = Interval(F(3, 4), F(3, 4))
+AT_ONE = Interval(F(1), F(1))
+CONSTANTS = (F(0), F(3, 2), F(-2))
+# (condition, {interval: (found, witness)}) for non-constant conditions
+VARYING = [
+    (SignCondition(poly(F(-3, 4), 1), ">="), {  # nu >= 3/4
+        OPEN: (True, F(4, 5)), HALF_OPEN: (True, F(4, 5)),
+        POINT: (True, F(3, 4)), AT_ONE: (True, F(1))}),
+    (SignCondition(poly(F(-1, 2), 0, 1), "=="), {  # nu = 1/sqrt(2)
+        OPEN: (True, None), HALF_OPEN: (True, None),
+        POINT: (False, None), AT_ONE: (False, None)}),
+    (SignCondition(poly(-1, 1), ">="), {  # nu >= 1
+        OPEN: (False, None), HALF_OPEN: (True, F(1)),
+        POINT: (False, None), AT_ONE: (True, F(1))}),
+    (SignCondition(poly(F(3, 10), -2, 2), "<"), {  # 2nu^2 - 2nu + 1 < 7/10
+        OPEN: (True, F(2, 3)), HALF_OPEN: (True, F(2, 3)),
+        POINT: (True, F(3, 4)), AT_ONE: (False, None)}),
+]
+NO_CONDITION = {OPEN: (True, F(2, 3)), HALF_OPEN: (True, F(2, 3)),
+                POINT: (True, F(3, 4)), AT_ONE: (True, F(1))}
+
+
+def _holds(value, relation):
+    return {"<": value < 0, "<=": value <= 0, "==": value == 0,
+            "!=": value != 0, ">": value > 0, ">=": value >= 0}[relation]
+
+
+def test_exists_sat_constant_conditions():
+    """A constant condition holds everywhere or nowhere: alone, it gives
+    the answer of no condition or (False, None); beside other conditions,
+    their answer or (False, None), wherever it stands in the list."""
+    for c, relation, iv in itertools.product(CONSTANTS, _RELATIONS, NO_CONDITION):
+        const = SignCondition(Polynomial.constant(c), relation)
+        holds = _holds(c, relation)
+        assert exists_sat([const], iv) == (
+            NO_CONDITION[iv] if holds else (False, None)), (c, relation, iv)
+        for cond, answers in VARYING:
+            want = answers[iv] if holds else (False, None)
+            assert exists_sat([const, cond], iv) == want, (c, relation, iv, cond)
+            assert exists_sat([cond, const], iv) == want, (c, relation, iv, cond)
+
+
+def test_exists_sat_isolates_no_root_of_a_constant(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("roots isolated")
+
+    monkeypatch.setattr("uclogic.decide.isolate_roots", refuse)
+    for c, relation in itertools.product(CONSTANTS, _RELATIONS):
+        const = SignCondition(Polynomial.constant(c), relation)
+        for iv in (OPEN, HALF_OPEN):
+            assert exists_sat([const, const], iv)[0] == _holds(c, relation)
 
 
 def test_exists_sat_equality_at_irrational():

@@ -1,4 +1,8 @@
+import json
+import random
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -133,32 +137,104 @@ def test_degree_limit():
     assert parse_polynomial(f"nu^{MAX_DEGREE // 2} * nu^{MAX_DEGREE // 2}") == (
         NU ** MAX_DEGREE
     )
-    for text in (
-        f"nu^{MAX_DEGREE + 1}",  # exponent
-        "2^99999999999",  # exponent of a constant
-        f"(nu^2)^{MAX_DEGREE // 2 + 1}",  # degree of a power
-        f"nu^{MAX_DEGREE} * nu",  # degree of a product
-        f"(1 + nu^{MAX_DEGREE}) * (nu - 1)",
-    ):
-        with pytest.raises(ParseError, match="limit"):
+    for text, message in {
+        # exponent
+        f"nu^{MAX_DEGREE + 1}":
+            "exponent 257 exceeds the degree limit of 256 (at position 3)",
+        # exponent of a constant
+        "2^99999999999":
+            "exponent 99999999999 exceeds the degree limit of 256 (at position 2)",
+        # degree of a power
+        f"(nu^2)^{MAX_DEGREE // 2 + 1}":
+            "polynomial degree 258 exceeds the limit of 256 (at position 7)",
+        # degree of a product
+        f"nu^{MAX_DEGREE} * nu":
+            "polynomial degree 257 exceeds the limit of 256 (at position 7)",
+        f"(1 + nu^{MAX_DEGREE}) * (nu - 1)":
+            "polynomial degree 257 exceeds the limit of 256 (at position 13)",
+    }.items():
+        with pytest.raises(ParseError) as exc:
             parse_polynomial(text)
+        assert str(exc.value) == message, text
 
 
 def test_coefficient_limit():
     assert parse_polynomial("(nu + 1)^256") == (NU + ONE) ** 256
     assert parse_polynomial("(2^200)^20") == Polynomial.constant(2**4000)
     assert parse_polynomial("3" * (MAX_COEFF_BITS // 4)).coeffs[0] > 0
-    for text in (
-        "(2^256)^256",  # a power, refused before it is computed
-        "(((2^256)^256)^256)^256",
-        "(2^200)^20 * (2^200)^20",  # a product
-        "nu / ((2^200)^20 + 1) / ((2^200)^20 + 1)",  # a quotient
-        "1/((2^200)^20 + 1) + 1/((2^200)^20 + 3)",  # a sum
-        "9" * 1300,  # a literal
-        "9" * 5000,  # a literal beyond Python's int-from-string limit
-    ):
-        with pytest.raises(ParseError, match="limit"):
+    for text, position in {
+        "(2^256)^256": 8,  # a power, refused before it is computed
+        "(((2^256)^256)^256)^256": 10,
+        "(2^200)^20 * (2^200)^20": 11,  # a product
+        "nu / ((2^200)^20 + 1) / ((2^200)^20 + 1)": 22,  # a quotient
+        "1/((2^200)^20 + 1) + 1/((2^200)^20 + 3)": 19,  # a sum
+        "9" * 1300: 0,  # a literal
+        "9" * 5000: 0,  # a literal beyond Python's int-from-string limit
+    }.items():
+        with pytest.raises(ParseError) as exc:
             parse_polynomial(text)
+        assert str(exc.value) == (
+            f"coefficients over the limit of 4096 bits (at position {position})"
+        ), text
+
+
+def test_refused_syntax_keeps_its_messages():
+    for text, message in {
+        "nu / nu": "division only by a nonzero constant (at position 3)",
+        "nu / (nu - nu)": "division only by a nonzero constant (at position 3)",
+        "nu ^ x": "exponent must be a natural number (at position 5)",
+        "nu^-1": "exponent must be a natural number (at position 3)",
+        "nu)": "unexpected token ')' (at position 2)",
+        "x": "unexpected token 'x' (at position 0)",
+        "2 $ 3": "unexpected character '$' (at position 1)",
+        "(nu": "unexpected end of polynomial expression",
+        "": "unexpected end of polynomial expression",
+        "-" * 102 + "nu": "expression nested deeper than 100 levels (at position 101)",
+    }.items():
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial(text)
+        assert str(exc.value) == message, text
+    assert parse_polynomial("-" * 101 + "nu") == -NU
+
+
+def _random_bound(rng):
+    """A bound in the canonical dialect, `c*nu^k + ...` with integer or
+    p/q coefficients, sometimes with a product or power of monomials."""
+    text = ""
+    for _ in range(rng.randint(1, 14)):
+        k = rng.randint(0, 24)
+        c = rng.choice([str(rng.randint(1, 10 ** rng.randint(1, 40))),
+                        f"{rng.randint(1, 999)}/{rng.randint(1, 999)}", "1"])
+        mono = {0: "", 1: "nu"}.get(k, f"nu^{k}")
+        term = "*".join(x for x in (c, mono) if x and (x != "1" or not mono))
+        if rng.random() < 0.2:
+            term = f"{term} * (3*nu^{rng.randint(0, 4)})^{rng.randint(0, 5)}"
+        sign = rng.choice(["+", "-"])
+        text = (f"{text} {sign} {term}" if text
+                else ("-" if sign == "-" else "") + term)
+    return text
+
+
+def test_bound_parsing_matches_sympy():
+    """Every bound of the kernel benchmark and seeded random bounds parse to
+    the coefficients of sympy's own arithmetic on the same text."""
+    sympy = pytest.importorskip("sympy")
+    ring, nu = sympy.ring("nu", sympy.QQ)
+    refs = Path(__file__).resolve().parent.parent / "bench" / "refs" / "kernel.json"
+    bounds = [b for item in json.loads(refs.read_text())["items"]
+              for b in item["gammas"].values()]
+    assert len(bounds) == 576
+    rng = random.Random(11)
+    bounds += [_random_bound(rng) for _ in range(300)]
+    bounds += ["(nu - 1/3)^7 * nu^2 / 7 - (2*nu)^3", "1 - (1 - nu)^16", "nu - nu"]
+    for text in bounds:
+        # each integer literal, but no exponent, becomes an element of the ring
+        code = re.sub(r"(?<![*\d])\d+", r"C(\g<0>)", text.replace("^", "**"))
+        want = eval(code, {"__builtins__": {}, "C": ring, "nu": nu})
+        got = {(k,): c for k, c in enumerate(parse_polynomial(text).coeffs) if c}
+        assert got == {
+            m: F(int(c.numerator), int(c.denominator)) for m, c in want.terms()
+        }, text
 
 
 def test_simplest_between():
