@@ -138,46 +138,25 @@ class AlgebraicNumber:
         return f"AlgebraicNumber({self})"
 
 
-def _gauss_det(matrix: list[list[Fraction]]) -> Fraction:
-    """Determinant over Q by fraction Gaussian elimination."""
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
-
-
 def scalar_resultant(f: Polynomial, g: Polynomial) -> Fraction:
-    """Resultant of two univariate polynomials (Sylvester determinant)."""
+    """Resultant of two univariate polynomials, by Euclidean remainders.
+
+    Res(f, g) = (-1)^(deg f * deg g) * lc(g)^(deg f - deg r) * Res(g, r)
+    with r = f mod g, down to Res(f, c) = c^(deg f) for a constant c; it is
+    0 when either is zero or the remainder vanishes before a constant.
+    """
     if f.is_zero or g.is_zero:
         return Fraction(0)
-    n, m = f.degree, g.degree
-    if n == 0:
-        return f.coeffs[0] ** m
-    if m == 0:
-        return g.coeffs[0] ** n
-    size = n + m
-    rows: list[list[Fraction]] = []
-    fdesc = list(reversed(f.coeffs))
-    gdesc = list(reversed(g.coeffs))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + fdesc + [Fraction(0)] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + gdesc + [Fraction(0)] * (size - m - 1 - i))
-    return _gauss_det(rows)
+    res = Fraction(1)
+    while g.degree > 0:
+        r = f % g
+        if r.is_zero:
+            return Fraction(0)
+        if f.degree * g.degree % 2:
+            res = -res
+        res *= g.coeffs[-1] ** (f.degree - r.degree)
+        f, g = g, r
+    return res * g.coeffs[0] ** f.degree
 
 
 def _lagrange(points: list[tuple[Fraction, Fraction]]) -> Polynomial:

@@ -1,9 +1,13 @@
 """Existential decision and envelope optimization over one real variable.
 
 This is the engine behind every real-arithmetic query the procedures emit:
-a conjunction of polynomial sign conditions on an interval, and the maximum
-of a pointwise-minimum of polynomials.  Verdicts are exact; floating point
-never decides anything.
+a conjunction of polynomial sign conditions on an interval, the cells of a
+grid where a polynomial is positive, and the maximum of a pointwise minimum
+of polynomials.  All three take one route: the breakpoints of their
+polynomials on the interval (`_breakpoints`), and one rational sample per
+cell between two consecutive breakpoints (`_sample`), on which every
+polynomial keeps one sign.  Verdicts are exact rational and algebraic
+arithmetic.
 """
 
 from __future__ import annotations
@@ -75,24 +79,37 @@ def _sorted_unique(nums: list[AlgebraicNumber]) -> list[AlgebraicNumber]:
     return out
 
 
-def _rational_bounds_between(
-    a: AlgebraicNumber, b: AlgebraicNumber
-) -> tuple[Fraction, Fraction]:
-    """Rationals l < u with a <= l and u <= b, so (l, u) lies inside (a, b).
+def _roots_in(poly: Polynomial, iv: Interval) -> list[AlgebraicNumber]:
+    sq = poly.square_free()
+    return [AlgebraicNumber.from_root(sq, r) for r in isolate_roots(sq, iv)]
 
-    a and b must be distinct with a < b; both are refined until they separate.
-    """
+
+def _breakpoints(
+    polys: Iterable[Polynomial], iv: Interval
+) -> list[AlgebraicNumber]:
+    """The ends of iv and every root in its closure of each nonzero
+    polynomial, sorted and distinct.  No polynomial changes sign inside a
+    cell, the open interval between two consecutive breakpoints."""
+    closure = iv.closure()
+    points = [
+        AlgebraicNumber.from_rational(iv.lo),
+        AlgebraicNumber.from_rational(iv.hi),
+    ]
+    for p in polys:
+        if not p.is_zero:
+            points.extend(_roots_in(p, closure))
+    return _sorted_unique(points)
+
+
+def _sample(a: AlgebraicNumber, b: AlgebraicNumber) -> Fraction:
+    """The simplest rational between the isolators of a < b, refined until
+    they separate; it lies inside the cell (a, b)."""
     while True:
         la = a.rational_value if a.is_rational else a.interval.hi
         ub = b.rational_value if b.is_rational else b.interval.lo
         if la < ub:
-            return la, ub
+            return simplest_between(la, ub)
         a, b = a.refined(), b.refined()
-
-
-def _roots_in(poly: Polynomial, iv: Interval) -> list[AlgebraicNumber]:
-    sq = poly.square_free()
-    return [AlgebraicNumber.from_root(sq, r) for r in isolate_roots(sq, iv)]
 
 
 def exists_sat(
@@ -100,9 +117,11 @@ def exists_sat(
 ) -> tuple[bool, Optional[Fraction]]:
     """Does some real in iv satisfy every condition?
 
-    Splits iv at all roots of the condition polynomials and tests one sample
-    per open cell plus every breakpoint.  The witness, when present, is a
-    small-denominator rational from the widest satisfying open cell.
+    Walks the cells between the breakpoints of the condition polynomials
+    left to right, one rational sample each, and answers with the first
+    sample that satisfies every condition.  Only when no cell does are the
+    breakpoints in iv tested; the witness is then the first rational one
+    that satisfies them all, or None when only irrational ones do.
     """
     work: list[SignCondition] = []
     for c in conds:
@@ -111,55 +130,24 @@ def exists_sat(
                 return False, None
         else:
             work.append(c)
-    if iv.is_point:
-        x = iv.lo
-        ok = all(c.holds_at(x) for c in work)
-        return ok, (x if ok else None)
-    if not work:
+    if not work and not iv.is_point:  # the one cell is all of iv
         return True, simplest_between(iv.lo, iv.hi)
-
-    points = [
-        AlgebraicNumber.from_rational(iv.lo),
-        AlgebraicNumber.from_rational(iv.hi),
-    ]
-    for c in work:
-        points.extend(_roots_in(c.poly, iv.closure()))
-    points = _sorted_unique(points)
+    points = _breakpoints((c.poly for c in work), iv)
+    for a, b in zip(points, points[1:]):
+        x = _sample(a, b)
+        if all(c.holds_at(x) for c in work):
+            return True, x
 
     satisfiable = False
-    point_witness: Optional[Fraction] = None
-    best_cell: tuple[float, Fraction, Fraction] | None = None
-
     last = len(points) - 1
     for i, b in enumerate(points):
-        if i == 0 and iv.lo_open:
-            continue
-        if i == last and iv.hi_open:
+        if i == 0 and iv.lo_open or i == last and iv.hi_open:
             continue
         if all(c.holds_at_algebraic(b) for c in work):
+            if b.is_rational:
+                return True, b.rational_value
             satisfiable = True
-            if b.is_rational and point_witness is None:
-                point_witness = b.rational_value
-
-    for a, b in zip(points, points[1:]):
-        l, u = _rational_bounds_between(a, b)
-        sample = simplest_between(l, u)
-        if all(c.holds_at(sample) for c in work):
-            satisfiable = True
-            width = float(b.approximate(Fraction(1, 2**24))) - float(
-                a.approximate(Fraction(1, 2**24))
-            )
-            if best_cell is None or width > best_cell[0]:
-                # Shrink the cell bounds so the witness hugs the true cell.
-                aa, bb = a, b
-                for _ in range(12):
-                    aa, bb = aa.refined(), bb.refined()
-                l2, u2 = _rational_bounds_between(aa, bb)
-                best_cell = (width, l2, u2)
-
-    if best_cell is not None:
-        return True, simplest_between(best_cell[1], best_cell[2])
-    return satisfiable, point_witness
+    return satisfiable, None
 
 
 def _grid_position(
@@ -187,21 +175,15 @@ def positive_cells(
     whose interior meets {x : q(x) > 0}.
 
     The roots of q are isolated once.  q has one sign on each open segment
-    between consecutive roots, read off one rational sample; a positive
-    segment is open, so it meets a cell iff it meets the cell's interior,
-    whichever ends the cell includes.
+    between consecutive breakpoints, read off one rational sample; a
+    positive segment is open, so it meets a cell iff it meets the cell's
+    interior, whichever ends the cell includes.
     """
-    if q.is_zero:
-        return set()
     step = (hi - lo) / k
-    points = _roots_in(q, Interval(lo, hi))
-    if q(lo):
-        points.insert(0, AlgebraicNumber.from_rational(lo))
-    if q(hi):
-        points.append(AlgebraicNumber.from_rational(hi))
+    points = _breakpoints([q], Interval(lo, hi))
     out: set[int] = set()
     for a, b in zip(points, points[1:]):
-        if q(simplest_between(*_rational_bounds_between(a, b))) > 0:
+        if q(_sample(a, b)) > 0:
             first, _ = _grid_position(a, lo, step)
             last, on = _grid_position(b, lo, step)
             out.update(range(first, last if on else last + 1))
@@ -225,26 +207,14 @@ def lower_envelope_max(
     polys = list(dict.fromkeys(polys))
     if not polys:
         raise ValueError("empty polynomial set")
-    closure = iv.closure()
-    candidates: list[AlgebraicNumber] = [AlgebraicNumber.from_rational(iv.lo)]
-    if not iv.is_point:
-        candidates.append(AlgebraicNumber.from_rational(iv.hi))
-        for p in polys:
-            dp = p.derivative()
-            if not dp.is_zero:
-                candidates.extend(_roots_in(dp, closure))
-        for i in range(len(polys)):
-            for j in range(i + 1, len(polys)):
-                diff = polys[i] - polys[j]
-                if not diff.is_zero:
-                    candidates.extend(_roots_in(diff, closure))
-    candidates = _sorted_unique(candidates)
+    crossings = [p - q for i, p in enumerate(polys) for q in polys[i + 1:]]
+    candidates = _breakpoints([p.derivative() for p in polys] + crossings, iv)
 
     # (active member, sign of its slope) per open cell; a point interval has
     # no cell, and its one candidate takes the member least there.
     cells: list[tuple[Polynomial, int]] = []
     for a, b in zip(candidates, candidates[1:]):
-        x = simplest_between(*_rational_bounds_between(a, b))
+        x = _sample(a, b)
         p = min(polys, key=lambda q: q(x))
         slope = p.derivative()(x)
         cells.append((p, (slope > 0) - (slope < 0)))

@@ -7,6 +7,7 @@ variable prints as ``nu``.  All arithmetic is exact; evaluation at a
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Union
@@ -342,9 +343,13 @@ class _PolyParser:
                 )
             degree = _degree(base)
             self.check_degree(degree * n, tpos)
-            # a coefficient of base^n sums at most t^n products of n of the
-            # t = degree + 1 coefficients of base
-            bits = n * (_coeff_bits(base.values()) + (degree + 1).bit_length())
+            # base = B / L with L the lcm of its denominators, so base^n =
+            # B^n / L^n, and a coefficient of B^n sums at most t^n products
+            # of n of the t = degree + 1 integer coefficients of B
+            lcm = math.lcm(*(c.denominator for c in base.values()))
+            size = max([lcm] + [abs(c.numerator) * (lcm // c.denominator)
+                                for c in base.values()])
+            bits = n * (size.bit_length() + (degree + 1).bit_length())
             self.check_bits(bits, tpos)
             return _pow(base, n)
         return base

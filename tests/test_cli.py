@@ -216,7 +216,12 @@ def test_ambition_degree_limit_exits_two(capsys):
 
 
 def test_ambition_coefficient_limit_exits_two(capsys):
-    for bound, position in {"(2^256)^256": 9, "(((2^256)^256)^256)^256": 11}.items():
+    for bound, position in {
+        "(2^256)^256": 9,
+        "(((2^256)^256)^256)^256": 11,
+        # distinct denominators: the power's is their lcm's power
+        "(1/1073741789 + nu/1073741783 + nu^2/1073741827)^120": 50,
+    }.items():
         started = time.perf_counter()
         code, _, err = run(capsys, "entails", "-f", "(or? x y)",
                            "--gamma", f"mu <= {bound}")

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 from fractions import Fraction as F
@@ -5,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import uclogic.decide
 from uclogic.algebraic import AlgebraicNumber, evaluate_poly_at
 from uclogic.decide import (
     _RELATIONS,
@@ -122,7 +124,40 @@ def test_exists_sat_equality_at_irrational():
 def test_exists_sat_witness_is_simple():
     found, w = exists_sat([SignCondition(poly(-1, 2), ">")], HALF_OPEN)
     assert found
-    assert w.denominator <= 4  # widest cell is all of (1/2, 1]
+    assert w.denominator <= 4  # the first cell is all of (1/2, 1)
+
+
+def _three_roots():
+    # (nu - 11/20)(nu - 3/5)(nu - 7/10): positive on (11/20, 3/5) and (7/10, 1]
+    return poly(F(-11, 20), 1) * poly(F(-3, 5), 1) * poly(F(-7, 10), 1)
+
+
+def test_exists_sat_witness_is_the_first_satisfying_cell():
+    # the simplest rational of the leftmost satisfying cell, not of the
+    # widest one, (7/10, 1), whose simplest rational is 3/4
+    assert exists_sat([SignCondition(_three_roots(), ">")], HALF_OPEN) == (
+        True, F(4, 7))
+
+
+def test_exists_sat_skips_breakpoints_when_a_cell_satisfies(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("breakpoint tested")
+
+    monkeypatch.setattr(SignCondition, "holds_at_algebraic", refuse)
+    monkeypatch.setattr(AlgebraicNumber, "approximate", refuse)
+    irrational = poly(F(-1, 2), 0, 1)  # a root at 1/sqrt(2)
+    for conds in (
+        [SignCondition(_three_roots(), ">")],
+        [SignCondition(irrational, ">"), SignCondition(_three_roots(), ">")],
+        [SignCondition(irrational, "!="), SignCondition(poly(-1, 1), "<")],
+    ):
+        for iv in (OPEN, HALF_OPEN, Interval(F(0), F(1))):
+            found, w = exists_sat(conds, iv)
+            assert found and all(c.holds_at(w) for c in conds)
+
+
+def test_decide_uses_no_floating_point():
+    assert "float" not in inspect.getsource(uclogic.decide)
 
 
 def test_exists_sat_grid_completeness():

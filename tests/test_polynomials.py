@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -158,24 +159,42 @@ def test_degree_limit():
         assert str(exc.value) == message, text
 
 
+def _sum_over(denominators):
+    return "(" + " + ".join(
+        f"nu^{k}/{d}" for k, d in enumerate(denominators)) + ")"
+
+
 def test_coefficient_limit():
     assert parse_polynomial("(nu + 1)^256") == (NU + ONE) ** 256
     assert parse_polynomial("(2^200)^20") == Polynomial.constant(2**4000)
     assert parse_polynomial("3" * (MAX_COEFF_BITS // 4)).coeffs[0] > 0
+    assert parse_polynomial("(1/2 + nu/2)^256") == (
+        Polynomial([F(1, 2), F(1, 2)]) ** 256)
+    assert parse_polynomial("(1/6 + nu/10 + nu^2/15)^128") == (
+        Polynomial([F(1, 6), F(1, 10), F(1, 15)]) ** 128)
     for text, position in {
         "(2^256)^256": 8,  # a power, refused before it is computed
         "(((2^256)^256)^256)^256": 10,
+        # powers of sums with distinct denominators, whose own denominator
+        # is a power of their lcm; computed, the first two take from tens of
+        # seconds to minutes
+        _sum_over(2**109 + 2 * k + 1 for k in range(9)) + "^32": 369,
+        _sum_over(2**499 + 2 * k + 1 for k in range(33)) + "^8": 5270,
+        _sum_over(2**59 + 2 * k + 1 for k in range(4)) + "^60": 104,
+        "(1/1073741789 + nu/1073741783 + nu^2/1073741827)^120": 49,
         "(2^200)^20 * (2^200)^20": 11,  # a product
         "nu / ((2^200)^20 + 1) / ((2^200)^20 + 1)": 22,  # a quotient
         "1/((2^200)^20 + 1) + 1/((2^200)^20 + 3)": 19,  # a sum
         "9" * 1300: 0,  # a literal
         "9" * 5000: 0,  # a literal beyond Python's int-from-string limit
     }.items():
+        started = time.perf_counter()
         with pytest.raises(ParseError) as exc:
             parse_polynomial(text)
         assert str(exc.value) == (
             f"coefficients over the limit of 4096 bits (at position {position})"
         ), text
+        assert time.perf_counter() - started < 1.0, text
 
 
 def test_refused_syntax_keeps_its_messages():
