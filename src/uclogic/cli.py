@@ -19,7 +19,7 @@ from typing import Any, Optional
 from . import algorithms
 from .algebraic import AlgebraicNumber
 from .errors import GateLimitError, ParseError, UCLError
-from .formulas import format_cformula, parse_cformula, variables
+from .formulas import fau, format_cformula, parse_cformula, variables
 from .polynomials import Polynomial, format_polynomial
 from .roots import Interval
 from .semantics import (
@@ -250,16 +250,19 @@ class _Runner:
         # rows with the same count of correct gates share one probability,
         # kept as [probability, its text, rows]: formatted and summed once
         shared: dict[int, list] = {}
-        for o in outcomes(self.formula(), max_gates=self.max_gates):
-            bits = "".join("1" if b else "0" for b in o.pattern)
-            formula = format_cformula(o.formula)
+        psi = self.formula()
+        m = len(fau(psi))
+        width = f"0{m}b"
+        # outcomes come in pattern order: row i's pattern is i in m binary digits
+        for i, o in enumerate(outcomes(psi, max_gates=self.max_gates)):
+            bits = format(i, width) if m else ""
             correct = o.pattern.count(False)
             if correct not in shared:
                 shared[correct] = [o.probability, format_polynomial(o.probability), 0]
             entry = shared[correct]
             entry[2] += 1
-            rows.append({"pattern": bits, "formula": formula, "probability": entry[1]})
-            lines.append(f"{bits or '-':>7} | {formula} | {entry[1]}")
+            rows.append({"pattern": bits, "formula": o.text, "probability": entry[1]})
+            lines.append(f"{bits or '-':>7} | {o.text} | {entry[1]}")
         total = sum((p.scale(n) for p, _, n in shared.values()), Polynomial())
         lines.append(f"total probability: {format_polynomial(total)}")
         payload = {"rows": rows, "total": format_polynomial(total)}

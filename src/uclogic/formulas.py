@@ -149,6 +149,28 @@ def apply_pattern(f: CFormula, pattern: Sequence[bool]) -> CFormula:
     return out
 
 
+def outcome_template(f: CFormula) -> tuple[str, list[tuple[str, str]]]:
+    """(template, slots): the printed f with a "%s" slot for each unreliable
+    gate's name, and per slot, in fau order, the reliable names of the gate
+    and of its counterpart.  With names[i] = slots[i][pattern[i]],
+    `template % names` prints apply_pattern(f, pattern), so the fillings
+    from itertools.product(*slots) come in pattern order."""
+    slots: list[tuple[str, str]] = []
+
+    def walk(node: CFormula) -> str:
+        if not isinstance(node, App):
+            return format_cformula(node).replace("%", "%%")
+        conn = node.conn
+        name = conn.name
+        if conn.unreliable:
+            slots.append((conn.as_reliable().name,
+                          conn.counterpart().as_reliable().name))
+            name = "%s"
+        return f"({' '.join([name] + [walk(a) for a in node.args])})"
+
+    return walk(f), slots
+
+
 def eval_pl(f: CFormula, valuation: Mapping[str, bool]) -> bool:
     """Classical truth value; majority is strict (odd arity, no ties)."""
     if isinstance(f, Var):

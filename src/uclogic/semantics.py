@@ -8,7 +8,9 @@ Success polynomials are computed bottom-up without listing outcomes: gates
 misfire independently and a formula is a tree, so sibling subformulas share
 no gate and their misfire-pattern counts combine by convolution.  Outcomes
 are enumerated (2^m of them) only where they are the output: `outcomes` and
-o-formulas.
+o-formulas.  An `Outcome` carries its misfire `pattern`, its printed `text`
+(one fill of the formula's `outcome_template`) and its `probability`; its
+`formula` tree is parsed from the text only when asked for.
 """
 
 from __future__ import annotations
@@ -17,22 +19,27 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import GateLimitError, ParseError
 from .formulas import (
-    CONNECTIVES, App, CFormula, apply_pattern, eval_pl, fau, variables,
+    CONNECTIVES, App, CFormula, eval_pl, fau, format_cformula,
+    outcome_template, parse_cformula, variables,
 )
 from .polynomials import Polynomial, parse_polynomial
 
 DEFAULT_MAX_GATES = 24
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     pattern: tuple[bool, ...]
-    formula: CFormula
+    text: str
     probability: Polynomial
+
+    @property
+    def formula(self) -> CFormula:
+        """Parsed from `text`, so nesting deeper than MAX_DEPTH is refused."""
+        return parse_cformula(self.text)
 
 
 def _expand(counts: Sequence[int]) -> Polynomial:
@@ -75,8 +82,10 @@ def outcomes(
     # a pattern's probability depends only on its count l of correct gates
     by_correct = [pattern_probability((False,) * l + (True,) * (m - l))
                   for l in range(m + 1)]
-    for bits in itertools.product((False, True), repeat=m):
-        yield Outcome(bits, apply_pattern(psi, bits), by_correct[bits.count(False)])
+    template, slots = outcome_template(psi)
+    for bits, names in zip(itertools.product((False, True), repeat=m),
+                           itertools.product(*slots)):
+        yield Outcome(bits, template % names, by_correct[bits.count(False)])
 
 
 def _convolve_into(acc: list[int], a: Sequence[int], b: Sequence[int]) -> None:
@@ -215,20 +224,17 @@ def satisfies(
     if isinstance(formula, AmbitionFormula):
         return interp.mu <= formula.bound(interp.nu)
     if isinstance(formula, OutcomeFormula):
-        by_formula = {
-            o.formula: o.probability
+        by_text = {
+            o.text: o.probability
             for o in outcomes(formula.target, max_gates=max_gates)
         }
         total = Polynomial()
         for member in formula.members:
+            text = format_cformula(member)
             try:
-                total = total + by_formula[member]
+                total = total + by_text[text]
             except KeyError:
-                from .formulas import format_cformula
-
-                raise ValueError(
-                    f"{format_cformula(member)} is not an outcome of the target"
-                ) from None
+                raise ValueError(f"{text} is not an outcome of the target") from None
         return formula.bound(interp.nu) <= total(interp.nu)
     p = success_polynomial(formula, interp.valuation, max_gates=max_gates)
     return interp.mu <= p(interp.nu)

@@ -313,6 +313,20 @@ def test_gate_guard_exits_three(capsys):
     assert code == 3 and "error" in err
 
 
+def test_gate_guard_comes_before_the_outcome_template(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("outcome template made above the gate limit")
+
+    monkeypatch.setattr("uclogic.semantics.outcome_template", refuse)
+    psi = "(and? (and? x y) (and? x y))"
+    code, out, err = run(capsys, "outcomes", "-f", psi, "--max-gates", "2")
+    assert (code, out) == (3, "")
+    assert "3 unreliable gates, exceeding the limit of 2" in err
+    monkeypatch.setenv("UCL_MAX_GATES", "2")
+    code, out, _ = run(capsys, "outcomes", "-f", psi, "--json")
+    assert (code, out) == (3, "")
+
+
 def test_gate_guard_env_override(capsys, monkeypatch):
     monkeypatch.setenv("UCL_MAX_GATES", "2")
     code, _, err = run(capsys, "outcomes", "-f", "(and? (and? x y) (and? x y))")

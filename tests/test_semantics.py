@@ -13,6 +13,7 @@ from uclogic.formulas import (
     Connective,
     Const,
     Var,
+    apply_pattern,
     eval_pl,
     fau,
     format_cformula,
@@ -160,11 +161,36 @@ def test_satisfies_outcome_formula():
 
 def test_satisfies_outcome_formula_rejects_non_outcomes():
     target = parse_cformula("(or? x (not? x))")
-    phi = OutcomeFormula(
-        (parse_cformula("(and x x)"),), parse_polynomial("nu"), target
-    )
-    with pytest.raises(ValueError):
-        satisfies(Interpretation({"x": True}, F(3, 4), F(3, 4)), phi)
+    # the second member still holds an unreliable gate
+    for text in ("(and x x)", "(or? x (not x))"):
+        phi = OutcomeFormula(
+            (parse_cformula(text),), parse_polynomial("nu"), target
+        )
+        with pytest.raises(ValueError) as exc:
+            satisfies(Interpretation({"x": True}, F(3, 4), F(3, 4)), phi)
+        assert str(exc.value) == f"{text} is not an outcome of the target"
+
+
+def test_satisfies_outcome_formula_builds_no_tree(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("formula tree built")
+
+    monkeypatch.setattr("uclogic.formulas.apply_pattern", refuse)
+    monkeypatch.setattr("uclogic.semantics.apply_pattern", refuse, raising=False)
+    monkeypatch.setattr("uclogic.semantics.parse_cformula", refuse)
+    target = parse_cformula("(and? (or? x1 (not? x2)) x3)")
+    members = (parse_cformula("(and (nor x1 (not x2)) x3)"),)
+    phi = OutcomeFormula(members, parse_polynomial("nu^2 - nu^3"), target)
+    assert satisfies(Interpretation({}, F(3, 4), F(3, 4)), phi)
+
+
+def test_satisfies_outcome_formula_counts_a_duplicate_member_twice():
+    target = parse_cformula("(and? (or? x1 (not? x2)) x3)")
+    member = parse_cformula("(and (or x1 (not x2)) x3)")  # probability nu^3
+    interp = Interpretation({}, F(3, 4), F(3, 4))
+    twice = parse_polynomial("2*nu^3")
+    assert satisfies(interp, OutcomeFormula((member, member), twice, target))
+    assert not satisfies(interp, OutcomeFormula((member,), twice, target))
 
 
 # every connective, with the wider majorities
@@ -198,13 +224,13 @@ def _formula_with_gates(rng: random.Random, m: int) -> CFormula:
 
 def _enumerated_success(psi: CFormula) -> list[tuple[dict, Polynomial]]:
     """Per valuation, the summed probability of the outcomes it satisfies."""
-    outs = list(outcomes(psi))
+    outs = [(o.formula, o.probability) for o in outcomes(psi)]
     table = []
     for v in canonical_valuations(variables(psi)):
         acc = Polynomial()
-        for o in outs:
-            if eval_pl(o.formula, v):
-                acc = acc + o.probability
+        for formula, probability in outs:
+            if eval_pl(formula, v):
+                acc = acc + probability
         table.append((v, acc))
     return table
 
@@ -237,6 +263,27 @@ def test_success_table_matches_pointwise_definition():
             has_const |= "T" in format_cformula(psi) or "F" in format_cformula(psi)
             _assert_matches_enumeration(psi)
     assert seen == set(_KINDS) and has_const
+
+
+def test_outcome_rows_match_apply_pattern():
+    rng = random.Random(47)
+    seen: set[tuple[str, int]] = set()
+    has_const = False
+    for m in range(11):
+        for _ in range(2):
+            psi = _formula_with_gates(rng, m)
+            seen |= _connectives(psi)
+            has_const |= "T" in format_cformula(psi) or "F" in format_cformula(psi)
+            outs = list(outcomes(psi))
+            assert len(outs) == 2 ** m
+            for o in outs:
+                resolved = apply_pattern(psi, o.pattern)
+                assert o.text == format_cformula(resolved)
+                assert o.formula == resolved
+    assert seen == set(_KINDS) and has_const
+    # a "%" in a variable name is text, not a slot
+    psi = App(Connective("not", 1, True), (Var("x%s"),))
+    assert [o.text for o in outcomes(psi)] == ["(not x%s)", "(id x%s)"]
 
 
 def _apps(children):
