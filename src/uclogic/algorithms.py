@@ -177,7 +177,8 @@ def pmc(
 
     Faithful mode returns the witness produced by checking nu = 1 first and
     then enumerating fractions nu1/nu2 by growing denominator; fast mode
-    returns the kernel's cell witness directly.  Valuations keep their order,
+    returns the kernel's witness directly, which is the faithful one
+    whenever that has denominator at most 8.  Valuations keep their order,
     since the witness depends on it; a polynomial that failed is not retried.
     """
     if mode not in ("faithful", "fast"):

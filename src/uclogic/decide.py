@@ -3,18 +3,21 @@
 This is the engine behind every real-arithmetic query the procedures emit:
 a conjunction of polynomial sign conditions on an interval, the cells of a
 grid where a polynomial is positive, and the maximum of a pointwise minimum
-of polynomials.  All three take one route: the breakpoints of their
-polynomials on the interval (`_breakpoints`), and one rational sample per
-cell between two consecutive breakpoints (`_sample`), on which every
-polynomial keeps one sign.  Verdicts are exact rational and algebraic
-arithmetic.
+of polynomials.  All three take one route to their roots: the breakpoints
+of their polynomials on the interval (`_breakpoints`), and one rational
+sample per cell between two consecutive breakpoints (`_sample`), on which
+every polynomial keeps one sign.  `exists_sat` first tries a few fixed
+rationals (`_SAMPLES`) and isolates roots only when none of them fits,
+that is, to prove a query empty or to find a point they all miss.
+Verdicts are exact rational and algebraic arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from functools import cached_property
+from math import floor, lcm
 from typing import Iterable, Optional, Sequence
 
 from .algebraic import AlgebraicNumber, evaluate_poly_at
@@ -45,9 +48,24 @@ class SignCondition:
     def admits_sign(self, sign: int) -> bool:
         return sign in _RELATIONS[self.relation]
 
+    @cached_property
+    def _numerators(self) -> tuple[int, ...]:
+        """The coefficients over their common denominator, highest first."""
+        scale = lcm(*(c.denominator for c in self.poly.coeffs))
+        return tuple(c.numerator * (scale // c.denominator)
+                     for c in reversed(self.poly.coeffs))
+
     def holds_at(self, x: Fraction) -> bool:
-        v = self.poly(x)
-        return self.admits_sign((v > 0) - (v < 0))
+        """Does the condition hold at the rational x = a/b?  p(x) has the
+        sign of sum_i n_i a^i b^(d - i), with n_i the integer numerators of
+        p's coefficients, evaluated by homogeneous Horner."""
+        a, b = x.numerator, x.denominator
+        acc = 0
+        b_power = 1
+        for n in self._numerators:
+            acc = acc * a + n * b_power
+            b_power *= b
+        return self.admits_sign((acc > 0) - (acc < 0))
 
     def holds_at_algebraic(self, a: AlgebraicNumber) -> bool:
         return self.admits_sign(a.sign_of_poly_at(self.poly))
@@ -112,14 +130,23 @@ def _sample(a: AlgebraicNumber, b: AlgebraicNumber) -> Fraction:
         a, b = a.refined(), b.refined()
 
 
+# The first ten rationals of the faithful witness search in (1/2, 1): by
+# growing denominator, then growing numerator.
+_SAMPLES = tuple(Fraction(a, b) for a, b in (
+    (2, 3), (3, 4), (3, 5), (4, 5), (5, 6), (4, 7), (5, 7), (6, 7), (5, 8),
+    (7, 8)))
+
+
 def exists_sat(
     conds: Iterable[SignCondition], iv: Interval
 ) -> tuple[bool, Optional[Fraction]]:
     """Does some real in iv satisfy every condition?
 
-    Walks the cells between the breakpoints of the condition polynomials
-    left to right, one rational sample each, and answers with the first
-    sample that satisfies every condition.  Only when no cell does are the
+    Tries the fixed samples in iv first and answers with the first that
+    satisfies every condition.  Otherwise it isolates roots and walks the
+    cells between the breakpoints of the condition polynomials left to
+    right, one rational sample each, and answers with the first sample
+    that satisfies every condition.  Only when no cell does are the
     breakpoints in iv tested; the witness is then the first rational one
     that satisfies them all, or None when only irrational ones do.
     """
@@ -132,6 +159,9 @@ def exists_sat(
             work.append(c)
     if not work and not iv.is_point:  # the one cell is all of iv
         return True, simplest_between(iv.lo, iv.hi)
+    for x in _SAMPLES:
+        if iv.contains(x) and all(c.holds_at(x) for c in work):
+            return True, x
     points = _breakpoints((c.poly for c in work), iv)
     for a, b in zip(points, points[1:]):
         x = _sample(a, b)

@@ -18,10 +18,10 @@ Rat = Union[Fraction, int]
 
 
 class Polynomial:
-    # Memos filled on first use: the square-free part (by square_free) and
-    # the Sturm chain (by roots.sturm_sequence).  Equality and hashing look
-    # at coeffs only.
-    __slots__ = ("coeffs", "_square_free", "_sturm")
+    # Memos filled on first use: the square-free part (by square_free), the
+    # Sturm chain (by roots.sturm_sequence) and the hash.  Equality and
+    # hashing look at coeffs only.
+    __slots__ = ("coeffs", "_square_free", "_sturm", "_hash")
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
@@ -30,6 +30,7 @@ class Polynomial:
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
         self._square_free: "Polynomial | None" = None
         self._sturm: "tuple[Polynomial, ...] | None" = None
+        self._hash: "int | None" = None
 
     @classmethod
     def constant(cls, c: Rat) -> "Polynomial":
@@ -50,7 +51,9 @@ class Polynomial:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        if self._hash is None:
+            self._hash = hash(self.coeffs)
+        return self._hash
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs

@@ -136,10 +136,13 @@ def _pattern_counts(
     return t, f
 
 
-def _success(psi: CFormula, valuation: Mapping[str, bool], gates: int) -> Polynomial:
+def _success_counts(
+    psi: CFormula, valuation: Mapping[str, bool], gates: int
+) -> tuple[int, ...]:
+    """Counts of the satisfied misfire patterns, by number of correct gates."""
     if not gates:  # a PL formula: the indicator of its truth value
-        return _expand([int(eval_pl(psi, valuation))])
-    return _expand(_pattern_counts(psi, valuation)[0])
+        return (int(eval_pl(psi, valuation)),)
+    return tuple(_pattern_counts(psi, valuation)[0])
 
 
 def success_polynomial(
@@ -148,7 +151,7 @@ def success_polynomial(
     max_gates: int = DEFAULT_MAX_GATES,
 ) -> Polynomial:
     """Aggregated probability of the outcomes of psi satisfied by the valuation."""
-    return _success(psi, valuation, _gate_count(psi, max_gates))
+    return _expand(_success_counts(psi, valuation, _gate_count(psi, max_gates)))
 
 
 def canonical_valuations(names: Sequence[str]) -> Iterator[dict[str, bool]]:
@@ -161,9 +164,13 @@ def canonical_valuations(names: Sequence[str]) -> Iterator[dict[str, bool]]:
 def success_table(
     psi: CFormula, max_gates: int = DEFAULT_MAX_GATES
 ) -> list[tuple[dict[str, bool], Polynomial]]:
-    """Success polynomial per valuation, canonical order."""
+    """Success polynomial per valuation, canonical order.  Valuations with
+    one count vector share one Polynomial object."""
     m = _gate_count(psi, max_gates)
-    return [(v, _success(psi, v, m)) for v in canonical_valuations(variables(psi))]
+    table = [(v, _success_counts(psi, v, m))
+             for v in canonical_valuations(variables(psi))]
+    polys = {c: _expand(c) for c in {c for _, c in table}}
+    return [(v, polys[c]) for v, c in table]
 
 
 @dataclass(frozen=True)

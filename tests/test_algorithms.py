@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction as F
 from math import ceil
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +96,38 @@ def test_pmc_modes_agree_on_found():
         if a.found:
             assert a.valuation == b.valuation
             assert satisfies(Interpretation(b.valuation, b.nu, b.mu), psi)
+
+
+def test_a_fitting_sample_isolates_no_root(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("roots isolated")
+
+    monkeypatch.setattr("uclogic.decide.isolate_roots", refuse)
+    # x = y = F gives P = 1 - nu, below nu at the sample 2/3
+    assert not enta(EntaQuery(parse_cformula("(or? x y)"),
+                              (parse_ambition("mu <= nu"),)))
+    # P(1) = 0, and P(2/3) = 136/243 > 1/2
+    assert sat(parse_cformula("(or? (id? F) (or? (id? F) (id? F)))"))
+    # P = nu under both valuations: nu >= 7/10 at the sample 3/4
+    assert rrd(parse_cformula("(or? x (not? x))"), F(7, 10))
+
+
+def test_pmc_fast_is_faithful_when_its_nu_is_simple():
+    """The fast witness is the first fixed sample that fits, and those
+    samples are the faithful search's first ten rationals, so the two modes
+    return the same interpretation whenever the faithful nu has a
+    denominator of at most 8."""
+    refs = Path(__file__).resolve().parent.parent / "bench" / "refs" / "circuits.json"
+    interior = 0
+    for item in json.loads(refs.read_text())["items"]:
+        psi = parse_cformula(item["formula"])
+        faithful = pmc(psi, mode="faithful")
+        fast = pmc(psi, mode="fast")
+        assert fast.found == faithful.found
+        if faithful.found and faithful.nu.denominator <= 8:
+            assert fast == faithful, item["id"]
+            interior += faithful.nu < 1
+    assert interior >= 12
 
 
 def test_pmc_start_valuation_both_branches():

@@ -67,8 +67,8 @@ AT_ONE = Interval(F(1), F(1))
 CONSTANTS = (F(0), F(3, 2), F(-2))
 # (condition, {interval: (found, witness)}) for non-constant conditions
 VARYING = [
-    (SignCondition(poly(F(-3, 4), 1), ">="), {  # nu >= 3/4
-        OPEN: (True, F(4, 5)), HALF_OPEN: (True, F(4, 5)),
+    (SignCondition(poly(F(-3, 4), 1), ">="), {  # nu >= 3/4: the sample 3/4
+        OPEN: (True, F(3, 4)), HALF_OPEN: (True, F(3, 4)),
         POINT: (True, F(3, 4)), AT_ONE: (True, F(1))}),
     (SignCondition(poly(F(-1, 2), 0, 1), "=="), {  # nu = 1/sqrt(2)
         OPEN: (True, None), HALF_OPEN: (True, None),
@@ -132,11 +132,22 @@ def _three_roots():
     return poly(F(-11, 20), 1) * poly(F(-3, 5), 1) * poly(F(-7, 10), 1)
 
 
+def _past_the_samples():
+    # (nu - 11/20)(nu - 14/25)(nu - 9/10): positive on (11/20, 14/25) and
+    # (9/10, 1], where no fixed sample lies
+    return poly(F(-11, 20), 1) * poly(F(-14, 25), 1) * poly(F(-9, 10), 1)
+
+
 def test_exists_sat_witness_is_the_first_satisfying_cell():
-    # the simplest rational of the leftmost satisfying cell, not of the
-    # widest one, (7/10, 1), whose simplest rational is 3/4
+    # a fixed sample that fits is the witness: 2/3 lies in (3/5, 7/10),
+    # where the product is negative, and 3/4 is the next sample
     assert exists_sat([SignCondition(_three_roots(), ">")], HALF_OPEN) == (
-        True, F(4, 7))
+        True, F(3, 4))
+    # no sample fits: the simplest rational of the leftmost satisfying cell,
+    # not of the cell (9/10, 1), whose simplest rational is 10/11
+    for iv in (OPEN, HALF_OPEN, Interval(F(0), F(1))):
+        assert exists_sat([SignCondition(_past_the_samples(), ">")], iv) == (
+            True, F(5, 9))
 
 
 def test_exists_sat_skips_breakpoints_when_a_cell_satisfies(monkeypatch):
@@ -148,12 +159,97 @@ def test_exists_sat_skips_breakpoints_when_a_cell_satisfies(monkeypatch):
     irrational = poly(F(-1, 2), 0, 1)  # a root at 1/sqrt(2)
     for conds in (
         [SignCondition(_three_roots(), ">")],
+        [SignCondition(_past_the_samples(), ">")],
         [SignCondition(irrational, ">"), SignCondition(_three_roots(), ">")],
         [SignCondition(irrational, "!="), SignCondition(poly(-1, 1), "<")],
     ):
         for iv in (OPEN, HALF_OPEN, Interval(F(0), F(1))):
             found, w = exists_sat(conds, iv)
             assert found and all(c.holds_at(w) for c in conds)
+
+
+def test_exists_sat_isolates_no_root_when_a_sample_fits(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("roots isolated")
+
+    monkeypatch.setattr("uclogic.decide.isolate_roots", refuse)
+    for conds in (
+        [SignCondition(_three_roots(), ">")],
+        [SignCondition(poly(F(-3, 4), 1), ">="),
+         SignCondition(poly(F(-1, 2), 0, 1), ">")],
+        [SignCondition(poly(F(-7, 8), 1), "==")],  # nu = 7/8, the last sample
+    ):
+        for iv in (OPEN, HALF_OPEN, Interval(F(0), F(1))):
+            found, w = exists_sat(conds, iv)
+            assert found and w in uclogic.decide._SAMPLES
+    with pytest.raises(AssertionError, match="roots isolated"):
+        exists_sat([SignCondition(_past_the_samples(), ">")], HALF_OPEN)
+
+
+def _fraction_holds(cond, x):
+    v = cond.poly(x)
+    return cond.admits_sign((v > 0) - (v < 0))
+
+
+def test_holds_at_agrees_with_fraction_evaluation():
+    rng = random.Random(15)
+    big = 2**200 + 1
+    dens = (1, 2, 3, 7, 10**9 + 7, big)
+    points = [F(0), F(1), F(-1), F(1, 2), F(7, 8), F(-5, 3), F(big - 2, big),
+              F(3, big), F(-(big + 4), big), F(2**300 + 1, 2**301)]
+    points += [F(rng.randint(-20, 20), rng.choice(dens)) for _ in range(20)]
+    polys = [Polynomial(), poly(0), poly(5), poly(F(-1, big))]
+    for _ in range(60):
+        deg = rng.randint(0, 12)
+        polys.append(Polynomial([
+            F(rng.randint(-50, 50), rng.choice(dens)) for _ in range(deg + 1)]))
+    # roots at some of the points, so that every sign occurs
+    polys += [poly(-x, 1) * poly(F(1, 3), -2, 1) for x in points[:8]]
+    for p, relation, x in itertools.product(polys, _RELATIONS, points):
+        cond = SignCondition(p, relation)
+        assert cond.holds_at(x) == _fraction_holds(cond, x), (p, relation, x)
+    assert SignCondition(Polynomial(), "==").holds_at(F(3, big))
+    assert not SignCondition(Polynomial(), "!=").holds_at(F(3, big))
+
+
+def _random_condition(rng):
+    deg = rng.randint(1, 5)
+    if rng.random() < 0.3:  # a root at a sample or near one
+        root = rng.choice(uclogic.decide._SAMPLES) + F(rng.choice((0, 0, 1, -1)), 97)
+        p = poly(-root, 1) * Polynomial(
+            [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(deg)])
+    else:
+        p = Polynomial(
+            [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(deg + 1)])
+    return SignCondition(p, rng.choice(list(_RELATIONS)))
+
+
+@pytest.mark.parametrize("iv", [
+    HALF_OPEN, OPEN, Interval(F(0), F(1)),
+    # intervals that hold no sample
+    Interval(F(7, 8), F(1), lo_open=True), Interval(F(0), F(1, 2)),
+    Interval(F(9, 10), F(19, 20), hi_open=True), Interval.point(F(13, 16)),
+], ids=str)
+def test_exists_sat_verdicts_match_the_cell_walk(monkeypatch, iv):
+    """Samples first and the cell walk alone give the same verdict, and
+    every witness of either satisfies every condition in iv."""
+    rng = random.Random(f"samples/{iv}")
+    cases = [[_random_condition(rng) for _ in range(rng.randint(1, 3))]
+             for _ in range(60)]
+    samples = uclogic.decide._SAMPLES
+    with_samples = [exists_sat(conds, iv) for conds in cases]
+    monkeypatch.setattr(uclogic.decide, "_SAMPLES", ())
+    walked = [exists_sat(conds, iv) for conds in cases]
+    fits = 0
+    for conds, (found, w), (walk_found, walk_w) in zip(cases, with_samples, walked):
+        assert found == walk_found, conds
+        for witness in (w, walk_w):
+            if witness is not None:
+                assert iv.contains(witness)
+                assert all(_fraction_holds(c, witness) for c in conds), conds
+        fits += w in samples
+    if any(iv.contains(x) for x in samples):
+        assert fits > 0
 
 
 def test_decide_uses_no_floating_point():

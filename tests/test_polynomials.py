@@ -88,6 +88,8 @@ def test_memo_does_not_change_equality():
     fresh = Polynomial([F(1), F(-2), F(1)])
     assert filled == fresh and hash(filled) == hash(fresh)
     assert len({filled, fresh}) == 1
+    # the hash is kept after the first call and equals that of the coeffs
+    assert hash(filled) == hash(filled.coeffs) == hash(fresh)
     assert filled.square_free() == fresh.square_free()
 
 

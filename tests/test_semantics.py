@@ -242,6 +242,17 @@ def _assert_matches_enumeration(psi: CFormula) -> None:
         assert success_polynomial(psi, v) == p
 
 
+def test_success_table_shares_one_polynomial_per_count_vector():
+    rng = random.Random(23)
+    for _ in range(30):
+        psi = random_cformula(rng, max_gates=4)
+        table = success_table(psi)
+        # distinct count vectors give distinct polynomials
+        assert len({id(p) for _, p in table}) == len({p for _, p in table})
+        for v, p in table:
+            assert success_polynomial(psi, v) == p
+
+
 def _connectives(f: CFormula) -> set[tuple[str, int]]:
     if not isinstance(f, App):
         return set()
