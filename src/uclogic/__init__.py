@@ -22,7 +22,13 @@ from .algorithms import (
     sat,
 )
 from .decide import SignCondition, exists_sat, lower_envelope_max
-from .errors import GateLimitError, ParseError, UCLError
+from .errors import (
+    GateLimitError,
+    ParseError,
+    ResourceLimitError,
+    UCLError,
+    VariableLimitError,
+)
 from .formulas import (
     App,
     CFormula,
@@ -75,9 +81,11 @@ __all__ = [
     "OutcomeFormula",
     "ParseError",
     "Polynomial",
+    "ResourceLimitError",
     "SignCondition",
     "UCLError",
     "Var",
+    "VariableLimitError",
     "WitnessResult",
     "apply_pattern",
     "arr",

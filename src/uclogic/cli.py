@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 affirmative verdict, 1 negative verdict, 2 usage, parse or
-other input error, 3 gate-count guard violation.  With --json a single
-object is written to stdout, the same bytes for the same arguments;
-rationals render exactly as "p/q", decimals only as annotations at the
-configured eps.
+other input error, 3 resource guard (the gate or the variable limit).  With
+--json a single object is written to stdout, the same bytes for the same
+arguments; rationals render exactly as "p/q", decimals only as annotations
+at the configured eps.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Any, Optional
 
 from . import algorithms
 from .algebraic import AlgebraicNumber
-from .errors import GateLimitError, ParseError, UCLError
+from .errors import ParseError, ResourceLimitError, UCLError
 from .formulas import fau, format_cformula, parse_cformula, variables
 from .polynomials import Polynomial, format_polynomial
 from .roots import Interval
@@ -27,7 +27,6 @@ from .semantics import (
     Interpretation,
     outcomes,
     parse_ambition,
-    satisfies,
     success_polynomial,
 )
 
@@ -219,18 +218,19 @@ class _Runner:
     def cmd_eval(self):
         psi = self.formula()
         valuation = _parse_valuation(self.args.assign or "")
-        missing = sorted(variables(psi) - valuation.keys())
+        names = variables(psi)
+        missing = sorted(names - valuation.keys())
         if missing:
             raise ParseError(f"valuation misses variables: {missing}")
-        unknown = sorted(valuation.keys() - variables(psi))
+        unknown = sorted(valuation.keys() - names)
         if unknown:
             raise ParseError(
                 f"valuation names variables not in the formula: {unknown}"
             )
         interp = Interpretation(valuation, self.args.nu, self.args.mu)
         p = success_polynomial(psi, valuation, max_gates=self.max_gates)
-        verdict = satisfies(interp, psi, max_gates=self.max_gates)
         value = p(interp.nu)
+        verdict = interp.mu <= value  # satisfies(interp, psi), from the one p
         payload = {
             "satisfied": verdict,
             "success_polynomial": format_polynomial(p),
@@ -338,7 +338,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser.parse_args(argv)
     try:
         code, verdict, payload, lines = _Runner(args).run()
-    except GateLimitError as exc:
+    except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (UCLError, ValueError) as exc:

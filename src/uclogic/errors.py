@@ -15,7 +15,11 @@ class ParseError(UCLError):
         super().__init__(message)
 
 
-class GateLimitError(UCLError):
+class ResourceLimitError(UCLError):
+    """Formula refused: it exceeds one of the explicit resource limits."""
+
+
+class GateLimitError(ResourceLimitError):
     """Formula refused: more unreliable gates than the limit allows."""
 
     def __init__(self, count: int, limit: int):
@@ -24,4 +28,16 @@ class GateLimitError(UCLError):
         super().__init__(
             f"formula has {count} unreliable gates, exceeding the limit of "
             f"{limit}; raise the limit explicitly to proceed"
+        )
+
+
+class VariableLimitError(ResourceLimitError):
+    """Formula refused: too many variables for a table over all valuations."""
+
+    def __init__(self, count: int, limit: int):
+        self.count = count
+        self.limit = limit
+        super().__init__(
+            f"formula has {count} variables, exceeding the limit of {limit} "
+            f"for a table over all 2^{count} valuations"
         )

@@ -28,7 +28,7 @@ class ConnectiveSpec(NamedTuple):
 
 
 # The one connective table: parsing, validation, counterparts, eval_pl and
-# semantics._pattern_counts read it.  Each kind has its own truth function,
+# semantics._classes read it.  Each kind has its own truth function,
 # so that a counterpart negates its mate as a checked fact, not by definition.
 CONNECTIVES = {
     "not": ConnectiveSpec(1, "id", False, lambda c, n: c == 0),

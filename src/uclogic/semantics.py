@@ -6,7 +6,13 @@ nu^l (1-nu)^(m-l), stored in expanded dense form.
 
 Success polynomials are computed bottom-up without listing outcomes: gates
 misfire independently and a formula is a tree, so sibling subformulas share
-no gate and their misfire-pattern counts combine by convolution.  Outcomes
+no gate and their misfire-pattern counts combine by convolution.  The table
+over all valuations comes from one post-order pass over classes of
+valuations (`_classes`): bit i of a mask stands for the i-th canonical
+valuation, a gate-free subtree is one truth mask computed bit-parallel, and
+a gate convolves each non-empty intersection of its arguments' classes
+once, merging equal count vectors at its output.  `success_polynomial` is
+the same pass over a universe of one valuation.  Outcomes
 are enumerated (2^m of them) only where they are the output: `outcomes` and
 o-formulas.  An `Outcome` carries its misfire `pattern`, its printed `text`
 (one fill of the formula's `outcome_template`) and its `probability`; its
@@ -21,14 +27,17 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
-from .errors import GateLimitError, ParseError
+from .errors import GateLimitError, ParseError, VariableLimitError
 from .formulas import (
-    CONNECTIVES, App, CFormula, eval_pl, fau, format_cformula,
+    CONNECTIVES, App, CFormula, Const, Var, fau, format_cformula,
     outcome_template, parse_cformula, variables,
 )
 from .polynomials import Polynomial, parse_polynomial
 
 DEFAULT_MAX_GATES = 24
+# Most variables of a success table: it has 2^n rows, and each class of
+# valuations carries a mask of 2^n bits.
+MAX_VARIABLES = 16
 
 
 class Outcome(NamedTuple):
@@ -95,54 +104,95 @@ def _convolve_into(acc: list[int], a: Sequence[int], b: Sequence[int]) -> None:
                 acc[i + j] += x * y
 
 
-def _pattern_counts(
-    node: CFormula, valuation: Mapping[str, bool]
-) -> tuple[list[int], list[int]]:
-    """(t, f): over the misfire patterns of the k unreliable gates inside
-    node, t[l] (f[l]) counts those with exactly l correct gates under which
-    node is True (False), so t[l] + f[l] = C(k, l)."""
-    if not isinstance(node, App):
-        return ([1], [0]) if eval_pl(node, valuation) else ([0], [1])
+def _classes(
+    node: CFormula, masks: Mapping[str, int], full: int
+) -> Union[int, list[tuple[list[int], list[int], int]]]:
+    """A mask is a set of valuations, bit i for the i-th: `full` holds every
+    valuation of the universe, and `masks` maps each variable to those that
+    make it True.  A gate-free node gives its truth mask.  Otherwise it
+    gives its classes [(t, f, mask)]: the masks partition full, and under
+    each valuation of a mask, t[l] (f[l]) counts the misfire patterns of the
+    k unreliable gates inside node with exactly l correct under which node
+    is True (False), so t[l] + f[l] = C(k, l)."""
+    if isinstance(node, Var):
+        try:
+            return masks[node.name]
+        except KeyError:
+            raise KeyError(f"unbound variable {node.name!r}") from None
+    if isinstance(node, Const):
+        return full if node.value else 0
     conn = node.conn
     spec = CONNECTIVES[conn.kind]
-    # by_count[c][l]: patterns of the arguments so far with c of them True
-    by_count = [[1]]
+    # by[c]: the valuations under which c of the gate-free arguments are True
+    by = [full]
+    gated = []
     for i, arg in enumerate(node.args):
-        t, f = _pattern_counts(arg, valuation)
-        if i == 0 and spec.negate_first:
-            t, f = f, t
-        if len(t) == 1:  # no gate inside: the argument only shifts the count
-            zero = [0] * len(by_count[0])
-            by_count = [zero] + by_count if t[0] else by_count + [zero]
-            continue
-        width = len(by_count[0]) + len(t) - 1
-        nxt = [[0] * width for _ in range(len(by_count) + 1)]
+        sub = _classes(arg, masks, full)
+        negate = i == 0 and spec.negate_first
+        if isinstance(sub, int):
+            if negate:
+                sub ^= full
+            by = [a & ~sub | b & sub for a, b in zip(by + [0], [0] + by)]
+        else:
+            gated.append([(f, t, m) for t, f, m in sub] if negate else sub)
+    truth = [spec.true_when(c, conn.arity) for c in range(conn.arity + 1)]
+    if not gated and not conn.unreliable:
+        out = 0
+        for c, m in enumerate(by):
+            if truth[c]:
+                out |= m
+        return out
+    # states (by_count, mask): under the valuations of mask, by_count[c][l]
+    # counts the patterns of the arguments so far with c of them True
+    states = [([[0]] * c + [[1]], m) for c, m in enumerate(by) if m]
+    for sub in gated:
+        nxt_states = []
+        for by_count, mask in states:
+            for t, f, m in sub:
+                m &= mask
+                if not m:
+                    continue
+                width = len(by_count[0]) + len(t) - 1
+                nxt = [[0] * width for _ in range(len(by_count) + 1)]
+                for c, d in enumerate(by_count):
+                    _convolve_into(nxt[c], d, f)
+                    _convolve_into(nxt[c + 1], d, t)
+                nxt_states.append((nxt, m))
+        states = nxt_states
+    # equal count vectors merge here, at the output, and nowhere before
+    merged: dict[tuple[int, ...], list] = {}
+    for by_count, mask in states:
+        t = [0] * len(by_count[0])
+        f = [0] * len(by_count[0])
         for c, d in enumerate(by_count):
-            _convolve_into(nxt[c], d, f)
-            _convolve_into(nxt[c + 1], d, t)
-        by_count = nxt
-    t = [0] * len(by_count[0])
-    f = [0] * len(by_count[0])
-    for c, d in enumerate(by_count):
-        acc = t if spec.true_when(c, conn.arity) else f
-        for l, x in enumerate(d):
-            acc[l] += x
-    if conn.unreliable:
-        # a correct gate adds one to l and keeps the value; a misfire flips it
-        t, f = (
-            [a + b for a, b in zip([0] + t, f + [0])],
-            [a + b for a, b in zip([0] + f, t + [0])],
-        )
-    return t, f
+            acc = t if truth[c] else f
+            for l, x in enumerate(d):
+                acc[l] += x
+        key = tuple(t)  # t fixes f, as t[l] + f[l] = C(k, l)
+        if key in merged:
+            merged[key][2] |= mask
+        else:
+            merged[key] = [t, f, mask]
+    if not conn.unreliable:
+        return [(t, f, m) for t, f, m in merged.values()]
+    # a correct gate adds one to l and keeps the value; a misfire flips it
+    return [
+        ([a + b for a, b in zip([0] + t, f + [0])],
+         [a + b for a, b in zip([0] + f, t + [0])], m)
+        for t, f, m in merged.values()
+    ]
 
 
-def _success_counts(
-    psi: CFormula, valuation: Mapping[str, bool], gates: int
-) -> tuple[int, ...]:
-    """Counts of the satisfied misfire patterns, by number of correct gates."""
-    if not gates:  # a PL formula: the indicator of its truth value
-        return (int(eval_pl(psi, valuation)),)
-    return tuple(_pattern_counts(psi, valuation)[0])
+def _count_classes(
+    psi: CFormula, masks: Mapping[str, int], full: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """(counts, mask) per class of valuations: counts[l] is the number of
+    satisfied misfire patterns with l correct gates under each valuation of
+    the mask."""
+    top = _classes(psi, masks, full)
+    if isinstance(top, int):  # a PL formula: the indicator of its truth value
+        return [(c, m) for c, m in (((0,), full ^ top), ((1,), top)) if m]
+    return [(tuple(t), m) for t, _, m in top]
 
 
 def success_polynomial(
@@ -151,7 +201,11 @@ def success_polynomial(
     max_gates: int = DEFAULT_MAX_GATES,
 ) -> Polynomial:
     """Aggregated probability of the outcomes of psi satisfied by the valuation."""
-    return _expand(_success_counts(psi, valuation, _gate_count(psi, max_gates)))
+    _gate_count(psi, max_gates)
+    # a universe of the one valuation
+    masks = {name: 1 if value else 0 for name, value in valuation.items()}
+    ((counts, _),) = _count_classes(psi, masks, 1)
+    return _expand(counts)
 
 
 def canonical_valuations(names: Sequence[str]) -> Iterator[dict[str, bool]]:
@@ -161,16 +215,41 @@ def canonical_valuations(names: Sequence[str]) -> Iterator[dict[str, bool]]:
         yield dict(zip(names, bits))
 
 
+def _variable_masks(names: Sequence[str]) -> dict[str, int]:
+    """Per name of the sorted names, the mask of the canonical valuations
+    that make it True: bit i stands for the i-th canonical valuation."""
+    n = len(names)
+    masks = {}
+    for j, name in enumerate(names):
+        run = 1 << (n - 1 - j)  # the name alternates False and True per run
+        pattern, width = ((1 << run) - 1) << run, 2 * run
+        while width < 1 << n:
+            pattern |= pattern << width
+            width *= 2
+        masks[name] = pattern
+    return masks
+
+
 def success_table(
     psi: CFormula, max_gates: int = DEFAULT_MAX_GATES
 ) -> list[tuple[dict[str, bool], Polynomial]]:
-    """Success polynomial per valuation, canonical order.  Valuations with
-    one count vector share one Polynomial object."""
-    m = _gate_count(psi, max_gates)
-    table = [(v, _success_counts(psi, v, m))
-             for v in canonical_valuations(variables(psi))]
-    polys = {c: _expand(c) for c in {c for _, c in table}}
-    return [(v, polys[c]) for v, c in table]
+    """Success polynomial per valuation, canonical order.  The valuations of
+    one class share one Polynomial object."""
+    names = sorted(variables(psi))
+    if len(names) > MAX_VARIABLES:
+        raise VariableLimitError(len(names), MAX_VARIABLES)
+    _gate_count(psi, max_gates)
+    size = 1 << len(names)
+    rows: list = [None] * size
+    masks = _variable_masks(names)
+    for counts, mask in _count_classes(psi, masks, (1 << size) - 1):
+        p = _expand(counts)
+        bits = format(mask, "b")[::-1]  # bits[i] is bit i of the mask
+        i = bits.find("1")
+        while i >= 0:
+            rows[i] = p
+            i = bits.find("1", i + 1)
+    return list(zip(canonical_valuations(names), rows))
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,16 @@ from formula_gen import random_cformula
 from uclogic.algorithms import MAX_EPS_BITS, MAX_GRID_CELLS
 from uclogic.cli import main
 from uclogic.errors import UCLError
-from uclogic.formulas import MAX_DEPTH, apply_pattern, fau, format_cformula
+from uclogic.formulas import (
+    MAX_DEPTH, apply_pattern, fau, format_cformula, variables,
+)
 from uclogic.polynomials import Polynomial, format_polynomial, parse_polynomial
-from uclogic.semantics import pattern_probability
+from uclogic.semantics import (
+    MAX_VARIABLES,
+    Interpretation,
+    pattern_probability,
+    satisfies,
+)
 
 PMC_SCENARIO = "(iff (or (or (not? x) (not? x)) (not? x)) (or x (not x)))"
 
@@ -381,6 +388,69 @@ def test_query_commands_do_not_enumerate_outcomes(capsys, monkeypatch):
         code, _, err = run(capsys, *argv)
         assert code in (0, 1), (argv, err)
 
+
+
+def _and_chain(n: int) -> str:
+    psi = "x1"
+    for i in range(2, n + 1):
+        psi = f"(and {psi} x{i})"
+    return psi
+
+
+def test_variable_limit_exits_three(capsys, monkeypatch):
+    code, _, err = run(capsys, "sat", "-f", _and_chain(MAX_VARIABLES))
+    assert code == 0, err
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("table work above the variable limit")
+
+    monkeypatch.setattr("uclogic.semantics._classes", refuse)
+    monkeypatch.setattr("uclogic.semantics._variable_masks", refuse)
+    over = _and_chain(MAX_VARIABLES + 1)
+    for argv in (["sat", "-f", over],
+                 ["entails", "-f", over, "--gamma", "mu <= nu"],
+                 ["witness", "-f", over],
+                 ["optimize", "-f", over, "--json"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err == (f"error: formula has {MAX_VARIABLES + 1} variables, "
+                       f"exceeding the limit of {MAX_VARIABLES} for a table "
+                       f"over all 2^{MAX_VARIABLES + 1} valuations\n")
+    monkeypatch.undo()
+    # one valuation is no table: eval answers above the limit
+    assign = ",".join(f"x{i}=1" for i in range(1, MAX_VARIABLES + 2))
+    code, doc = run_json(capsys, "eval", "-f", over, "--assign", assign,
+                         "--nu", "3/4", "--mu", "3/4")
+    assert code == 0 and doc["payload"]["success_polynomial"] == "1"
+
+
+def test_eval_computes_one_success_polynomial(capsys, monkeypatch):
+    import uclogic.cli
+    from uclogic.semantics import success_polynomial
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return success_polynomial(*args, **kwargs)
+
+    monkeypatch.setattr(uclogic.cli, "success_polynomial", counted)
+    monkeypatch.setattr("uclogic.semantics.success_polynomial", counted)
+    rng = random.Random(71)
+    verdicts = set()
+    for _ in range(30):
+        psi = random_cformula(rng, max_gates=5)
+        valuation = {n: rng.random() < 0.5 for n in sorted(variables(psi))}
+        nu, mu = F(rng.randint(51, 100), 100), F(rng.randint(51, 100), 100)
+        assign = ",".join(f"{n}={int(b)}" for n, b in valuation.items())
+        calls.clear()
+        code, doc = run_json(capsys, "eval", "-f", format_cformula(psi),
+                             "--assign", assign, "--nu", str(nu), "--mu", str(mu))
+        assert len(calls) == 1
+        expected = satisfies(Interpretation(valuation, nu, mu), psi)
+        assert (code, doc["verdict"]) == ((0, 1) if expected else (1, 0))
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 EVERY_COMMAND = [
     ["entails", "-f", "(iff (or? x1 x2) (or x1 x2))", "--gamma", "mu <= nu"],

@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from formula_gen import random_cformula
-from uclogic.errors import GateLimitError
+from uclogic.errors import GateLimitError, VariableLimitError
 from uclogic.formulas import (
+    CONNECTIVES,
     App,
     CFormula,
     Connective,
@@ -22,6 +23,7 @@ from uclogic.formulas import (
 )
 from uclogic.polynomials import ONE, Polynomial, parse_polynomial
 from uclogic.semantics import (
+    MAX_VARIABLES,
     AmbitionFormula,
     Interpretation,
     OutcomeFormula,
@@ -332,3 +334,139 @@ def test_success_table_of_long_gate_chain_matches_closed_form():
         ({"x": False}, (ONE - even).scale(F(1, 2))),
         ({"x": True}, (ONE + even).scale(F(1, 2))),
     ]
+
+
+# --- the per-valuation walk, kept as the reference for the class route -----
+
+
+def _reference_counts(node: CFormula, valuation) -> tuple[list[int], list[int]]:
+    """(t, f) of node under one valuation, by walking the whole formula: over
+    the misfire patterns of the k unreliable gates inside node, t[l] (f[l])
+    counts those with exactly l correct gates under which node is True
+    (False)."""
+    if not isinstance(node, App):
+        return ([1], [0]) if eval_pl(node, valuation) else ([0], [1])
+    conn = node.conn
+    spec = CONNECTIVES[conn.kind]
+    by_count = [[1]]  # by_count[c][l]: the arguments so far, c of them True
+    for i, arg in enumerate(node.args):
+        t, f = _reference_counts(arg, valuation)
+        if i == 0 and spec.negate_first:
+            t, f = f, t
+        width = len(by_count[0]) + len(t) - 1
+        nxt = [[0] * width for _ in range(len(by_count) + 1)]
+        for c, d in enumerate(by_count):
+            for a, x in enumerate(d):
+                for b in range(len(t)):
+                    nxt[c][a + b] += x * f[b]
+                    nxt[c + 1][a + b] += x * t[b]
+        by_count = nxt
+    t = [0] * len(by_count[0])
+    f = [0] * len(by_count[0])
+    for c, d in enumerate(by_count):
+        acc = t if spec.true_when(c, conn.arity) else f
+        for l, x in enumerate(d):
+            acc[l] += x
+    if conn.unreliable:
+        t, f = (
+            [a + b for a, b in zip([0] + t, f + [0])],
+            [a + b for a, b in zip([0] + f, t + [0])],
+        )
+    return t, f
+
+
+def _from_counts(counts: list[int]) -> Polynomial:
+    nu = parse_polynomial("nu")
+    m = len(counts) - 1
+    total = Polynomial()
+    for l, c in enumerate(counts):
+        total = total + (nu ** l * (ONE - nu) ** (m - l)).scale(c)
+    return total
+
+
+def _mixed_formula(rng: random.Random, names: tuple[str, ...]) -> CFormula:
+    """Random formula whose subtrees are often gate-free, over the names."""
+
+    def build(depth: int, gated: bool) -> CFormula:
+        if depth == 0 or rng.random() < 0.2:
+            if rng.random() < 0.15:
+                return Const(rng.random() < 0.5)
+            return Var(rng.choice(names))
+        kind, arity = rng.choice(_KINDS)
+        # below a gated node, a third of the subtrees have no gate at all
+        gated_child = gated and rng.random() < 0.67
+        conn = Connective(kind, arity, gated and rng.random() < 0.5)
+        return App(conn, tuple(build(depth - 1, gated_child)
+                               for _ in range(arity)))
+
+    return build(4, True)
+
+
+def _subtrees(f: CFormula):
+    yield f
+    if isinstance(f, App):
+        for a in f.args:
+            yield from _subtrees(a)
+
+
+def test_success_table_matches_per_valuation_walk():
+    rng = random.Random(61)
+    seen: set[tuple[str, int]] = set()
+    has_const = has_gate_free_app = False
+    checked = 0
+    while checked < 40:
+        names = tuple(f"x{i}" for i in range(1, rng.randint(5, 7) + 1))
+        psi = _mixed_formula(rng, names)
+        m = len(fau(psi))
+        if not 5 <= len(variables(psi)) <= 7 or m > 10:
+            continue
+        checked += 1
+        seen |= _connectives(psi)
+        has_const |= "T" in format_cformula(psi) or "F" in format_cformula(psi)
+        has_gate_free_app |= any(
+            isinstance(a, App) and not fau(a)
+            for node in _subtrees(psi) if fau(node) for a in node.args)
+        table = success_table(psi)
+        assert [v for v, _ in table] == list(canonical_valuations(variables(psi)))
+        by_counts: dict[tuple[int, ...], Polynomial] = {}
+        for v, p in table:
+            counts = tuple(_reference_counts(psi, v)[0])
+            # one Polynomial object per class, and one class per count vector
+            if counts not in by_counts:
+                assert p == _from_counts(list(counts))
+                assert success_polynomial(psi, v) == p
+            assert by_counts.setdefault(counts, p) is p
+        assert len({id(p) for _, p in table}) == len(by_counts)
+    assert {("imp", 2), ("nimp", 2), ("maj", 5)} <= seen
+    assert has_const and has_gate_free_app
+
+
+def test_success_polynomial_looks_the_valuation_up_at_the_leaves():
+    psi = parse_cformula("(and? x (or y z))")
+    with pytest.raises(KeyError, match="unbound variable 'y'"):
+        success_polynomial(psi, {"x": True, "z": False})
+    # a variable the formula does not read is never looked up
+    assert success_polynomial(psi, {"x": False, "y": True, "z": True, "w": True}) \
+        == parse_polynomial("1 - nu")
+
+
+def _and_chain(n: int) -> CFormula:
+    psi: CFormula = Var("x1")
+    for i in range(2, n + 1):
+        psi = App(Connective("and", 2), (psi, Var(f"x{i}")))
+    return psi
+
+
+def test_variable_limit(monkeypatch):
+    table = success_table(_and_chain(MAX_VARIABLES))
+    assert len(table) == 2 ** MAX_VARIABLES
+    assert [p for _, p in table].count(ONE) == 1 and table[-1][1] == ONE
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("table work above the variable limit")
+
+    monkeypatch.setattr("uclogic.semantics._classes", refuse)
+    monkeypatch.setattr("uclogic.semantics._variable_masks", refuse)
+    with pytest.raises(VariableLimitError) as exc:
+        success_table(_and_chain(MAX_VARIABLES + 1))
+    assert (exc.value.count, exc.value.limit) == (MAX_VARIABLES + 1, MAX_VARIABLES)
