@@ -3,6 +3,11 @@
 Rationals embed as point intervals.  Every query (sign of a polynomial at the
 number, comparison, approximation) is decided exactly; interval refinement is
 only ever a search accelerator, never the verdict.
+
+Isolator invariant: an irrational number's closed isolator holds exactly one
+root of its defining polynomial, a simple one, and neither end is a root.  So
+a divisor of the defining polynomial has a root there iff it changes sign
+between the ends, which is how `equals` and `sign_of_poly_at` decide it.
 """
 
 from __future__ import annotations
@@ -11,10 +16,6 @@ from fractions import Fraction
 
 from .polynomials import Polynomial, format_polynomial
 from .roots import Interval, count_roots, refine_isolating
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
 
 
 class AlgebraicNumber:
@@ -35,15 +36,13 @@ class AlgebraicNumber:
 
     @classmethod
     def from_root(cls, p: Polynomial, iv: Interval) -> "AlgebraicNumber":
-        """The unique root of p inside iv (as produced by isolate_roots)."""
+        """The unique root of p inside iv (as produced by isolate_roots); the
+        ends of a non-point iv must not be roots (the isolator invariant)."""
         q = p.square_free()
-        if iv.is_point:
-            return cls.from_rational(iv.lo)
-        # the closed interval must isolate too, or bisection refinement
-        # could chase a root sitting on the boundary
-        if count_roots(q, iv.closure()) != 1:
+        root_end = not iv.is_point and 0 in (q.sign_at(iv.lo), q.sign_at(iv.hi))
+        if root_end or count_roots(q, iv) != 1:
             raise ValueError("interval does not isolate exactly one root")
-        return cls(q, iv)
+        return cls.from_rational(iv.lo) if iv.is_point else cls(q, iv)
 
     @property
     def is_rational(self) -> bool:
@@ -86,16 +85,16 @@ class AlgebraicNumber:
         if q.is_zero:
             return 0
         if self.is_rational:
-            return _sign(q(self.rational_value))
+            return q.sign_at(self.rational_value)
         g = self.defining.gcd(q)
-        if g.degree >= 1 and count_roots(g, self.interval) >= 1:
+        if g.degree >= 1 and g.sign_at(self.interval.lo) != g.sign_at(self.interval.hi):
             return 0
         a = self
         while count_roots(q, a.interval.closure()) > 0:
             a = a.refined()
             if a.is_rational:
-                return _sign(q(a.rational_value))
-        return _sign(q(a.interval.midpoint))
+                return q.sign_at(a.rational_value)
+        return q.sign_at(a.interval.midpoint)
 
     def equals(self, other: "AlgebraicNumber") -> bool:
         if self.is_rational and other.is_rational:
@@ -106,20 +105,19 @@ class AlgebraicNumber:
             # the defining polynomial is square-free with exactly one root
             # in the closed isolator, so a root r inside it is this number
             r = other.rational_value
-            return self.defining(r) == 0 and self.interval.contains(r)
+            return self.defining.sign_at(r) == 0 and self.interval.contains(r)
         g = self.defining.gcd(other.defining)
-        if g.degree < 1:
-            return False
-        inter = self.interval.intersect(other.interval)
-        if inter is None:
-            return False
         # A root of g inside both isolating intervals is simultaneously the
         # unique root of each defining polynomial there, hence both numbers.
-        return count_roots(g, inter) >= 1
+        # The ends of their overlap are isolator ends, not roots of g.
+        lo = max(self.interval.lo, other.interval.lo)
+        hi = min(self.interval.hi, other.interval.hi)
+        return g.degree >= 1 and lo < hi and g.sign_at(lo) != g.sign_at(hi)
 
     def compare(self, other: "AlgebraicNumber") -> int:
         if self.is_rational and other.is_rational:
-            return _sign(self.rational_value - other.rational_value)
+            x, y = self.rational_value, other.rational_value
+            return (x > y) - (x < y)
         if self.equals(other):
             return 0
         a, b = self, other
@@ -197,9 +195,9 @@ def evaluate_poly_at(p: Polynomial, a: AlgebraicNumber) -> AlgebraicNumber:
         if lo == hi:
             return AlgebraicNumber.from_rational(lo)
         if count_roots(d, Interval(lo, hi)) == 1:
-            if d(lo) == 0:
+            if d.sign_at(lo) == 0:
                 return AlgebraicNumber.from_rational(lo)
-            if d(hi) == 0:
+            if d.sign_at(hi) == 0:
                 return AlgebraicNumber.from_rational(hi)
             return AlgebraicNumber(d, Interval(lo, hi, lo_open=True, hi_open=True))
         a = a.refined()

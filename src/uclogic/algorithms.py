@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebraic import AlgebraicNumber
@@ -24,7 +24,7 @@ from .roots import Interval
 from .semantics import (
     DEFAULT_MAX_GATES,
     AmbitionFormula,
-    canonical_valuations,
+    check_valuation,
     success_table,
 )
 
@@ -84,28 +84,31 @@ def _least(polys: Iterable[Polynomial]) -> list[Polynomial]:
 
     A polynomial's Bernstein coefficients on an interval enclose its values
     there (Lane & Riesenfeld, BIT 1981), so when those of p - q on [1/2, 1]
-    are all >= 0, p >= q on the closed interval.  At the common degree d
-    and a common denominator L, the coefficients are taken as the integers
-    c_i = 2^d * L * C(d, i) * b_i: with x = (1 + t)/2, 2^d * L * p(x) is a
+    are all >= 0, p >= q on the closed interval.  At the common degree d,
+    with p's integer form n(x) / L, the coefficients are the integers
+    c_i = 2^d * L * C(d, i) * b_i: with x = (1 + t)/2, 2^d * n(x) is a
     polynomial e(t), and c_i is the coefficient of s^i in
     sum_j e_j s^j (1 + s)^(d - j); both steps are Taylor shifts by 1.  The
-    test is then c(p) >= c(q) elementwise.  A dominating q has a smaller
-    coefficient sum and dominance is transitive, so deciding candidates by
-    ascending sum against the survivors so far drops exactly the dominated.
+    test is then c(p) * L(q) >= c(q) * L(p) elementwise.  A dominating q has
+    a smaller sum c / L and dominance is transitive, so deciding candidates
+    by ascending sum against the survivors so far drops exactly the
+    dominated.
     """
     distinct = list(dict.fromkeys(polys))
     d = max([0] + [p.degree for p in distinct])
-    scale = lcm(*(c.denominator for p in distinct for c in p.coeffs))
-    bern: list[list[int]] = []
+    bern: list[tuple[list[int], int]] = []
     for p in distinct:
-        a = [c.numerator * (scale // c.denominator) << (d - k)
-             for k, c in enumerate(p.coeffs)]
+        nums, den = p.integer_form
+        a = [n << (d - k) for k, n in enumerate(nums)]
         e = _taylor_shift(a + [0] * (d + 1 - len(a)))
-        bern.append(_taylor_shift(e[::-1])[::-1])
+        bern.append((_taylor_shift(e[::-1])[::-1], den))
     # indices, not polynomials: hashing a polynomial hashes every Fraction
     kept: list[int] = []
-    for i in sorted(range(len(distinct)), key=lambda i: sum(bern[i])):
-        if not any(all(x >= y for x, y in zip(bern[i], bern[j])) for j in kept):
+    for i in sorted(range(len(distinct)),
+                    key=lambda i: Fraction(sum(bern[i][0]), bern[i][1])):
+        ci, li = bern[i]
+        if not any(all(x * lj >= y * li for x, y in zip(ci, cj))
+                   for cj, lj in (bern[j] for j in kept)):
             kept.append(i)
     return [distinct[i] for i in sorted(kept)]
 
@@ -133,26 +136,6 @@ def enta(query: EntaQuery, max_gates: int = DEFAULT_MAX_GATES) -> bool:
         if found:
             return False
     return True
-
-
-def _valuation_order(
-    psi: CFormula,
-    start_valuation: Optional[Mapping[str, bool]],
-) -> list[dict[str, bool]]:
-    order = list(canonical_valuations(sorted(variables(psi))))
-    if start_valuation is None:
-        return order
-    names = sorted(variables(psi))
-    missing = [n for n in names if n not in start_valuation]
-    if missing:
-        raise ValueError(f"start valuation misses variables: {missing}")
-    unknown = sorted(start_valuation.keys() - set(names))
-    if unknown:
-        raise ValueError(
-            f"start valuation names variables not in the formula: {unknown}"
-        )
-    first = {n: bool(start_valuation[n]) for n in names}
-    return [first] + [v for v in order if v != first]
 
 
 def _exceeds_half(p: Polynomial) -> tuple[bool, Optional[Fraction]]:
@@ -184,10 +167,17 @@ def pmc(
     if mode not in ("faithful", "fast"):
         raise ValueError(f"unknown mode {mode!r}")
     table = success_table(psi, max_gates=max_gates)
-    by_val = {tuple(sorted(v.items())): p for v, p in table}
+    order: Sequence[int] = range(len(table))
+    if start_valuation is not None:
+        names = sorted(variables(psi))
+        check_valuation(start_valuation, names, "start valuation")
+        # rows come in canonical order: row i's valuation is i in binary
+        first = sum(bool(start_valuation[n]) << (len(names) - 1 - j)
+                    for j, n in enumerate(names))
+        order = [first, *range(first), *range(first + 1, len(table))]
     failed: set[Polynomial] = set()
-    for v in _valuation_order(psi, start_valuation):
-        p = by_val[tuple(sorted(v.items()))]
+    for i in order:
+        v, p = table[i]
         if p in failed:
             continue
         found, nu = _exceeds_half(p)

@@ -25,6 +25,7 @@ from .roots import Interval
 from .semantics import (
     DEFAULT_MAX_GATES,
     Interpretation,
+    check_valuation,
     outcomes,
     parse_ambition,
     success_polynomial,
@@ -218,15 +219,7 @@ class _Runner:
     def cmd_eval(self):
         psi = self.formula()
         valuation = _parse_valuation(self.args.assign or "")
-        names = variables(psi)
-        missing = sorted(names - valuation.keys())
-        if missing:
-            raise ParseError(f"valuation misses variables: {missing}")
-        unknown = sorted(valuation.keys() - names)
-        if unknown:
-            raise ParseError(
-                f"valuation names variables not in the formula: {unknown}"
-            )
+        check_valuation(valuation, variables(psi))
         interp = Interpretation(valuation, self.args.nu, self.args.mu)
         p = success_polynomial(psi, valuation, max_gates=self.max_gates)
         value = p(interp.nu)

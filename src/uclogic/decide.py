@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import floor, lcm
+from math import floor
 from typing import Iterable, Optional, Sequence
 
 from .algebraic import AlgebraicNumber, evaluate_poly_at
@@ -48,24 +47,8 @@ class SignCondition:
     def admits_sign(self, sign: int) -> bool:
         return sign in _RELATIONS[self.relation]
 
-    @cached_property
-    def _numerators(self) -> tuple[int, ...]:
-        """The coefficients over their common denominator, highest first."""
-        scale = lcm(*(c.denominator for c in self.poly.coeffs))
-        return tuple(c.numerator * (scale // c.denominator)
-                     for c in reversed(self.poly.coeffs))
-
     def holds_at(self, x: Fraction) -> bool:
-        """Does the condition hold at the rational x = a/b?  p(x) has the
-        sign of sum_i n_i a^i b^(d - i), with n_i the integer numerators of
-        p's coefficients, evaluated by homogeneous Horner."""
-        a, b = x.numerator, x.denominator
-        acc = 0
-        b_power = 1
-        for n in self._numerators:
-            acc = acc * a + n * b_power
-            b_power *= b
-        return self.admits_sign((acc > 0) - (acc < 0))
+        return self.admits_sign(self.poly.sign_at(x))
 
     def holds_at_algebraic(self, a: AlgebraicNumber) -> bool:
         return self.admits_sign(a.sign_of_poly_at(self.poly))
@@ -98,8 +81,12 @@ def _sorted_unique(nums: list[AlgebraicNumber]) -> list[AlgebraicNumber]:
 
 
 def _roots_in(poly: Polynomial, iv: Interval) -> list[AlgebraicNumber]:
+    """The roots of poly in iv, built from isolate_roots' isolators as they are."""
     sq = poly.square_free()
-    return [AlgebraicNumber.from_root(sq, r) for r in isolate_roots(sq, iv)]
+    return [
+        AlgebraicNumber.from_rational(r.lo) if r.is_point else AlgebraicNumber(sq, r)
+        for r in isolate_roots(sq, iv)
+    ]
 
 
 def _breakpoints(
@@ -191,7 +178,7 @@ def _grid_position(
         if (x.interval.hi - origin) / step <= n + 1:
             return n, False
         # a grid point strictly inside the isolator: x is it iff it is a root
-        if x.defining(origin + (n + 1) * step) == 0:
+        if x.defining.sign_at(origin + (n + 1) * step) == 0:
             return n + 1, True
         x = x.refined()
     t = (x.rational_value - origin) / step
@@ -213,7 +200,7 @@ def positive_cells(
     points = _breakpoints([q], Interval(lo, hi))
     out: set[int] = set()
     for a, b in zip(points, points[1:]):
-        if q(_sample(a, b)) > 0:
+        if q.sign_at(_sample(a, b)) > 0:
             first, _ = _grid_position(a, lo, step)
             last, on = _grid_position(b, lo, step)
             out.update(range(first, last if on else last + 1))
@@ -237,8 +224,9 @@ def lower_envelope_max(
     polys = list(dict.fromkeys(polys))
     if not polys:
         raise ValueError("empty polynomial set")
+    slopes = {p: p.derivative() for p in polys}
     crossings = [p - q for i, p in enumerate(polys) for q in polys[i + 1:]]
-    candidates = _breakpoints([p.derivative() for p in polys] + crossings, iv)
+    candidates = _breakpoints(list(slopes.values()) + crossings, iv)
 
     # (active member, sign of its slope) per open cell; a point interval has
     # no cell, and its one candidate takes the member least there.
@@ -246,8 +234,7 @@ def lower_envelope_max(
     for a, b in zip(candidates, candidates[1:]):
         x = _sample(a, b)
         p = min(polys, key=lambda q: q(x))
-        slope = p.derivative()(x)
-        cells.append((p, (slope > 0) - (slope < 0)))
+        cells.append((p, slopes[p].sign_at(x)))
     if not cells:
         cells.append((min(polys, key=lambda q: q(iv.lo)), 0))
 

@@ -2,7 +2,8 @@
 
 Coefficients are stored constant-term first, with no trailing zeros.  The
 variable prints as ``nu``.  All arithmetic is exact; evaluation at a
-``Fraction`` returns a ``Fraction``.
+``Fraction`` returns a ``Fraction``, and runs in integers on the
+coefficients' numerators over their common denominator.
 """
 
 from __future__ import annotations
@@ -18,16 +19,18 @@ Rat = Union[Fraction, int]
 
 
 class Polynomial:
-    # Memos filled on first use: the square-free part (by square_free), the
-    # Sturm chain (by roots.sturm_sequence) and the hash.  Equality and
+    # Memos filled on first use: the integer form (by integer_form, for every
+    # evaluation), the Sturm chain (by roots.sturm_sequence, which
+    # square_free calls), the square-free part and the hash.  Equality and
     # hashing look at coeffs only.
-    __slots__ = ("coeffs", "_square_free", "_sturm", "_hash")
+    __slots__ = ("coeffs", "_integers", "_square_free", "_sturm", "_hash")
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self._integers: "tuple[tuple[int, ...], int] | None" = None
         self._square_free: "Polynomial | None" = None
         self._sturm: "tuple[Polynomial, ...] | None" = None
         self._hash: "int | None" = None
@@ -96,20 +99,49 @@ class Polynomial:
             n >>= 1
         return result
 
+    @property
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """(n, L) with p = sum_i n[i] nu^i / L: the coefficients' numerators
+        over their least common denominator L, constant term first."""
+        if self._integers is None:
+            den = math.lcm(*(c.denominator for c in self.coeffs))
+            nums = tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
+            self._integers = nums, den
+        return self._integers
+
+    def _horner(self, x: Rat) -> tuple[int, int]:
+        """(h, b^(d+1)) for x = a/b, d the degree: h = sum_i n[i] a^i b^(d-i)
+        by homogeneous Horner, so p(x) = h * b / (L * b^(d+1)) has h's sign."""
+        a, b = x.numerator, x.denominator
+        acc = 0
+        b_power = 1
+        for n in reversed(self.integer_form[0]):
+            acc = acc * a + n * b_power
+            b_power *= b
+        return acc, b_power
+
+    def sign_at(self, x: Rat) -> int:
+        """Sign of p(x) at a rational x, in integers."""
+        acc, _ = self._horner(x)
+        return (acc > 0) - (acc < 0)
+
     def __call__(self, x: Rat) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        acc, b_power = self._horner(x)
+        return Fraction(acc * x.denominator, self.integer_form[1] * b_power)
 
     def eval_interval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-        """Enclosure of the image of [lo, hi] (interval Horner, exact ends)."""
-        alo = ahi = Fraction(0)
-        for c in reversed(self.coeffs):
-            prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-            alo, ahi = min(prods) + c, max(prods) + c
-        return alo, ahi
+        """Enclosure of the image of [lo, hi] (interval Horner, exact ends),
+        on the integer form with both ends over one denominator b."""
+        b = math.lcm(lo.denominator, hi.denominator)
+        ends = ((lo * b).numerator, (hi * b).numerator)
+        nums, den = self.integer_form
+        alo = ahi = 0
+        b_power = 1
+        for n in reversed(nums):
+            prods = [a * e for a in (alo, ahi) for e in ends]
+            alo, ahi = min(prods) + n * b_power, max(prods) + n * b_power
+            b_power *= b
+        return Fraction(alo * b, den * b_power), Fraction(ahi * b, den * b_power)
 
     def derivative(self) -> "Polynomial":
         return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -154,11 +186,16 @@ class Polynomial:
         return a.monic()
 
     def square_free(self) -> "Polynomial":
-        """Largest square-free divisor (same distinct roots), computed once."""
+        """Largest square-free divisor (same distinct roots), computed once:
+        p / monic(g) for g the last member of p's Sturm chain, gcd(p, p') up
+        to a constant; p itself, keeping its chain, when g is a constant."""
         if self._square_free is None:
             q = self
             if self.degree >= 1:
-                q = self.exact_div(self.gcd(self.derivative()))
+                from .roots import sturm_sequence  # roots imports this module
+                g = sturm_sequence(self)[-1]
+                if g.degree >= 1:
+                    q = self.exact_div(g.monic())
             q._square_free = self._square_free = q
         return self._square_free
 

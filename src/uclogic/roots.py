@@ -1,4 +1,8 @@
-"""Exact real-root counting and isolation via Sturm sequences."""
+"""Exact real-root counting and isolation via Sturm sequences.
+
+The Sturm chain of p also gives its square-free part: its last member is
+gcd(p, p') up to a constant (`Polynomial.square_free`).
+"""
 
 from __future__ import annotations
 
@@ -51,18 +55,6 @@ class Interval:
             return self
         return Interval(self.lo, self.hi)
 
-    def intersect(self, other: "Interval") -> "Interval | None":
-        lo, lo_open = max(
-            (self.lo, self.lo_open), (other.lo, other.lo_open)
-        )
-        hi, hi_open = min(
-            (self.hi, not self.hi_open), (other.hi, not other.hi_open)
-        )
-        hi_open = not hi_open
-        if lo > hi or (lo == hi and (lo_open or hi_open)):
-            return None
-        return Interval(lo, hi, lo_open, hi_open)
-
     @classmethod
     def point(cls, x: Fraction) -> "Interval":
         return cls(x, x)
@@ -74,7 +66,8 @@ class Interval:
 
 
 def sturm_sequence(p: Polynomial) -> tuple[Polynomial, ...]:
-    """Sturm chain of p, built once and kept on p."""
+    """Sturm chain of p, built once and kept on p.  Its last member is
+    gcd(p, p') up to a constant."""
     if p._sturm is None:
         seq = [p, p.derivative()]
         while not seq[-1].is_zero:
@@ -85,16 +78,24 @@ def sturm_sequence(p: Polynomial) -> tuple[Polynomial, ...]:
 
 
 def _variations(seq: tuple[Polynomial, ...], x: Fraction) -> int:
-    signs = []
-    for q in seq:
-        v = q(x)
-        if v:
-            signs.append(1 if v > 0 else -1)
+    signs = [s for s in (q.sign_at(x) for q in seq) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def _linear(root: Fraction) -> Polynomial:
     return Polynomial([-root, 1])
+
+
+def _deflate_ends(q: Polynomial, iv: Interval) -> tuple[Polynomial, list[Fraction]]:
+    """q less its roots at the ends of iv, so that no Sturm evaluation lands
+    on a root, and those of them that iv includes."""
+    ends = []
+    for x, is_open in ((iv.lo, iv.lo_open), (iv.hi, iv.hi_open)):
+        if q.sign_at(x) == 0:
+            if not is_open:
+                ends.append(x)
+            q = q.exact_div(_linear(x))
+    return q, ends
 
 
 def count_roots(p: Polynomial, iv: Interval) -> int:
@@ -104,22 +105,11 @@ def count_roots(p: Polynomial, iv: Interval) -> int:
     q = p.square_free()
     if q.degree < 1:
         return 0
-    if iv.is_point:
-        return 1 if q(iv.lo) == 0 else 0
-    total = 0
-    # Deflate endpoint roots so Sturm evaluation never lands on a root.
-    if q(iv.lo) == 0:
-        if not iv.lo_open:
-            total += 1
-        q = q.exact_div(_linear(iv.lo))
-    if q(iv.hi) == 0:
-        if not iv.hi_open:
-            total += 1
-        q = q.exact_div(_linear(iv.hi))
-    if q.degree >= 1:
-        seq = sturm_sequence(q)
-        total += _variations(seq, iv.lo) - _variations(seq, iv.hi)
-    return total
+    q, ends = _deflate_ends(q, iv)
+    if q.degree < 1:
+        return len(ends)
+    seq = sturm_sequence(q)
+    return len(ends) + _variations(seq, iv.lo) - _variations(seq, iv.hi)
 
 
 def isolate_roots(p: Polynomial, iv: Interval) -> list[Interval]:
@@ -130,26 +120,15 @@ def isolate_roots(p: Polynomial, iv: Interval) -> list[Interval]:
     """
     if p.is_zero:
         raise ValueError("isolate_roots of the zero polynomial")
-    q = p.square_free()
-    if q.degree < 1:
+    sq = p.square_free()
+    if sq.degree < 1:
         return []
-    out: list[Interval] = []
-    if iv.is_point:
-        return [iv] if q(iv.lo) == 0 else []
-    lo, hi = iv.lo, iv.hi
-    if q(lo) == 0:
-        if not iv.lo_open:
-            out.append(Interval.point(lo))
-        q = q.exact_div(_linear(lo))
-    if q(hi) == 0:
-        if not iv.hi_open:
-            out.append(Interval.point(hi))
-        q = q.exact_div(_linear(hi))
+    q, ends = _deflate_ends(sq, iv)
+    out = [Interval.point(x) for x in ends]
     if q.degree >= 1:
         inner: list[Interval] = []
-        _isolate_open(q, sturm_sequence(q), lo, hi, inner)
-        full = p.square_free()
-        out.extend(_shrink_off_root_endpoints(full, r) for r in inner)
+        _isolate_open(q, sturm_sequence(q), iv.lo, iv.hi, inner)
+        out.extend(_shrink_off_root_endpoints(sq, r) for r in inner)
     out.sort(key=lambda r: r.lo)
     return out
 
@@ -161,12 +140,15 @@ def _shrink_off_root_endpoints(q: Polynomial, iv: Interval) -> Interval:
     sitting exactly on the boundary of a neighbouring isolator, which would
     break the bisection refinement of that interval later on.
     """
-    while not iv.is_point and (q(iv.lo) == 0 or q(iv.hi) == 0):
+    while not iv.is_point and (q.sign_at(iv.lo) == 0 or q.sign_at(iv.hi) == 0):
         m = iv.midpoint
-        if q(m) == 0:
+        sign = q.sign_at(m)
+        if sign == 0:
             # the only root of q strictly inside iv is the isolated one
             return Interval.point(m)
-        if count_roots(q, Interval(iv.lo, m, lo_open=True, hi_open=True)):
+        # the root is in (lo, m) iff q's sign at m differs from that just
+        # right of lo: q's at lo, or its derivative's at a (simple) root lo
+        if (q.sign_at(iv.lo) or q.derivative().sign_at(iv.lo)) != sign:
             iv = Interval(iv.lo, m, lo_open=True, hi_open=True)
         else:
             iv = Interval(m, iv.hi, lo_open=True, hi_open=True)
@@ -188,7 +170,7 @@ def _isolate_open(
         out.append(Interval(a, b, lo_open=True, hi_open=True))
         return
     m = (a + b) / 2
-    if q(m) == 0:
+    if q.sign_at(m) == 0:
         out.append(Interval.point(m))
         q = q.exact_div(_linear(m))
         if q.degree < 1:
@@ -207,9 +189,9 @@ def refine_isolating(p: Polynomial, iv: Interval) -> Interval:
     if iv.is_point:
         return iv
     m = iv.midpoint
-    vm = p(m)
-    if vm == 0:
+    sign = p.sign_at(m)
+    if sign == 0:
         return Interval.point(m)
-    if (p(iv.lo) > 0) != (vm > 0):
+    if p.sign_at(iv.lo) != sign:
         return Interval(iv.lo, m, lo_open=True, hi_open=True)
     return Interval(m, iv.hi, lo_open=True, hi_open=True)

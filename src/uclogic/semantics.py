@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import GateLimitError, ParseError, VariableLimitError
 from .formulas import (
@@ -213,6 +213,19 @@ def canonical_valuations(names: Sequence[str]) -> Iterator[dict[str, bool]]:
     names = sorted(names)
     for bits in itertools.product((False, True), repeat=len(names)):
         yield dict(zip(names, bits))
+
+
+def check_valuation(
+    valuation: Mapping[str, bool], names: Iterable[str], what: str = "valuation"
+) -> None:
+    """Raise ValueError unless the valuation assigns exactly the names."""
+    names = set(names)
+    missing = sorted(names - valuation.keys())
+    if missing:
+        raise ValueError(f"{what} misses variables: {missing}")
+    unknown = sorted(valuation.keys() - names)
+    if unknown:
+        raise ValueError(f"{what} names variables not in the formula: {unknown}")
 
 
 def _variable_masks(names: Sequence[str]) -> dict[str, int]:

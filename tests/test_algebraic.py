@@ -26,6 +26,20 @@ def test_from_root_requires_unique_root():
         AlgebraicNumber.from_root(poly(-2, 0, 1), Interval(F(-2), F(2)))
 
 
+def test_from_root_refuses_a_root_on_an_excluded_end():
+    # (nu - 1)(nu - 3): the closure of (1, 2) holds the root 1, iv none
+    with pytest.raises(ValueError):
+        AlgebraicNumber.from_root(poly(3, -4, 1), Interval(F(1), F(2), True, True))
+    with pytest.raises(ValueError):
+        AlgebraicNumber.from_root(poly(-1, 1), Interval(F(1), F(2), True, True))
+    # a root on a closed end is refused too: bisection would chase it
+    with pytest.raises(ValueError):
+        AlgebraicNumber.from_root(poly(3, -4, 1), Interval(F(1), F(2)))
+    with pytest.raises(ValueError):
+        AlgebraicNumber.from_root(poly(-2, 0, 1), Interval.point(F(1)))
+    assert AlgebraicNumber.from_root(poly(3, -4, 1), Interval.point(F(3))).rational_value == 3
+
+
 def test_approximate_converges():
     eps = F(1, 10**12)
     mid = SQRT2.approximate(eps)
@@ -45,6 +59,11 @@ def test_equals_and_compare():
     )
     assert SQRT2.equals(other_sqrt2)
     assert not SQRT2.equals(SQRT3)
+    # isolators that only touch, with a common factor: the shared end is no root
+    sqrt3 = AlgebraicNumber.from_root(poly(-2, 0, 1) * poly(-3, 0, 1), Interval(F(3, 2), F(2)))
+    low_sqrt2 = AlgebraicNumber.from_root(poly(-2, 0, 1), Interval(F(1), F(3, 2)))
+    assert not low_sqrt2.equals(sqrt3) and not sqrt3.equals(low_sqrt2)
+    assert sqrt3.equals(SQRT3)
     assert SQRT2.compare(SQRT3) == -1
     assert SQRT3.compare(SQRT2) == 1
     assert SQRT2.compare(AlgebraicNumber.from_rational(F(3, 2))) == -1

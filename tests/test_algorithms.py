@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -13,6 +14,7 @@ from uclogic.algorithms import (
     MAX_GRID_CELLS,
     EntaQuery,
     WitnessResult,
+    _exceeds_half,
     _least,
     arr,
     enta,
@@ -30,6 +32,7 @@ from uclogic.semantics import (
     canonical_valuations,
     parse_ambition,
     satisfies,
+    success_polynomial,
     success_table,
 )
 
@@ -148,6 +151,38 @@ def test_pmc_start_valuation_both_branches():
         pmc(psi, start_valuation={"y": True})
     with pytest.raises(ValueError):
         pmc(psi, mode="quick")
+
+
+def _reference_pmc(psi, mode, start):
+    """pmc by its definition, over an order of valuation dicts built here:
+    canonical order with the start valuation moved first; the first
+    valuation whose polynomial exceeds 1/2 somewhere in (1/2, 1] wins."""
+    order = list(canonical_valuations(sorted(variables(psi))))
+    if start is not None:
+        order.remove(start)
+        order.insert(0, start)
+    for v in order:
+        p = success_polynomial(psi, v)
+        found, nu = _exceeds_half(p)
+        if not found:
+            continue
+        if mode == "faithful" and nu != 1:
+            nu = next(F(num, den) for den in itertools.count(3)
+                      for num in range(ceil((den + 1) / 2), den)
+                      if p(F(num, den)) > HALF)
+        return WitnessResult(True, v, nu, p(nu))
+    return WitnessResult(False)
+
+
+def test_pmc_matches_the_order_by_valuation_dicts():
+    rng = random.Random(41)
+    for _ in range(15):
+        psi = random_cformula(rng, max_gates=5)
+        names = sorted(variables(psi))
+        starts = [None] + [{n: rng.random() < 0.5 for n in names} for _ in range(2)]
+        for mode, start in itertools.product(("faithful", "fast"), starts):
+            got = pmc(psi, mode=mode, start_valuation=start)
+            assert got == _reference_pmc(psi, mode, start), (psi, mode, start)
 
 
 def test_sat_on_reliable_formulas_matches_truth_tables():

@@ -11,13 +11,14 @@ from uclogic.algebraic import AlgebraicNumber, evaluate_poly_at
 from uclogic.decide import (
     _RELATIONS,
     SignCondition,
+    _breakpoints,
     _roots_in,
     _sorted_unique,
     exists_sat,
     lower_envelope_max,
 )
 from uclogic.polynomials import ONE, Polynomial
-from uclogic.roots import Interval
+from uclogic.roots import Interval, count_roots
 from uclogic.semantics import success_table
 
 from formula_gen import random_cformula
@@ -187,7 +188,7 @@ def test_exists_sat_isolates_no_root_when_a_sample_fits(monkeypatch):
 
 
 def _fraction_holds(cond, x):
-    v = cond.poly(x)
+    v = sum(c * x**i for i, c in enumerate(cond.poly.coeffs))  # not the integer Horner
     return cond.admits_sign((v > 0) - (v < 0))
 
 
@@ -444,6 +445,39 @@ def assert_matches_oracle(polys, iv):
     assert sup.compare(o_sup) == 0, (polys, iv, sup, o_sup)
     assert argmax.compare(o_argmax) == 0, (polys, iv, argmax, o_argmax)
     assert attained == o_attained, (polys, iv)
+
+
+def test_breakpoints_recount_no_root(monkeypatch):
+    """Each number comes from its certified isolator as it is: no root
+    count, and the isolator invariant holds for every breakpoint."""
+    rng = random.Random(7171)
+    cases = []
+    while len(cases) < 25:
+        psi = random_cformula(rng, max_depth=4, max_gates=6)
+        polys = list(dict.fromkeys(p for _, p in success_table(psi)))
+        # the kind lower_envelope_max and exists_sat hand over: crossings
+        # with a constant bound and with each other
+        cases.append(polys + [p - poly(F(3, 4)) for p in polys]
+                     + [p - q for i, p in enumerate(polys) for q in polys[i + 1:]])
+
+    def refuse(*args):
+        raise AssertionError("count_roots called")
+
+    monkeypatch.setattr("uclogic.roots.count_roots", refuse)
+    monkeypatch.setattr("uclogic.algebraic.count_roots", refuse)
+    found = [_breakpoints(polys, HALF_OPEN) for polys in cases]
+    monkeypatch.undo()
+    for polys, points in zip(cases, found):
+        assert all(a.compare(b) < 0 for a, b in zip(points, points[1:]))
+        for p in polys:
+            if p:
+                on = sum(a.sign_of_poly_at(p) == 0 for a in points)
+                assert on == count_roots(p, Interval(F(1, 2), F(1)))
+        for a in points:
+            if not a.is_rational:
+                iv, q = a.interval, a.defining
+                assert q.sign_at(iv.lo) != 0 and q.sign_at(iv.hi) != 0
+                assert count_roots(q, iv.closure()) == 1
 
 
 def test_envelope_matches_oracle_on_success_polynomials():

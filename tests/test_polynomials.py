@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uclogic.errors import ParseError
+from uclogic.roots import sturm_sequence
 from uclogic.polynomials import (
     MAX_COEFF_BITS,
     MAX_DEGREE,
@@ -283,3 +284,74 @@ def test_simplest_between_is_minimal_denominator(a, b):
 def test_constants():
     assert ONE == Polynomial([F(1)])
     assert NU(F(5, 7)) == F(5, 7)
+
+
+def _fraction_horner(p, x):
+    """Reference value of p at x: Horner over Fraction."""
+    acc = F(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _fraction_interval_horner(p, lo, hi):
+    """Reference enclosure: interval Horner over Fraction."""
+    alo = ahi = F(0)
+    for c in reversed(p.coeffs):
+        prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo, ahi = min(prods) + c, max(prods) + c
+    return alo, ahi
+
+
+def test_integer_evaluation_matches_fraction_horner():
+    rng = random.Random(23)
+    big = 2**300 + 1  # a 301-bit denominator
+    huge = 2**1000 - 3  # x with a 1,000-bit denominator
+    points = [0, 3, -2, F(0), F(1), F(-7), F(1, 2), F(-5, 3), F(huge - 1, huge),
+              F(-(2**999 + 5), huge), F(3, 2**1000)]
+    polys = [Polynomial(), Polynomial([0]), Polynomial([5]), Polynomial([F(-1, big)]),
+             Polynomial([F(2**300 + 7, big), F(-3, big), F(1, 3)])]
+    for _ in range(40):
+        deg = rng.randint(0, 10)
+        polys.append(Polynomial([F(rng.randint(-99, 99), rng.choice((1, 2, 7, big)))
+                                 for _ in range(deg + 1)]))
+    # x at a root of each of these
+    polys += [Polynomial([-x, 1]) * polys[-1] for x in points]
+    for p in polys:
+        for x in points:
+            ref = _fraction_horner(p, x)
+            got = p(x)
+            assert type(got) is F
+            assert (got.numerator, got.denominator) == (ref.numerator, ref.denominator)
+            assert p.sign_at(x) == (ref > 0) - (ref < 0)
+        for lo, hi in ((F(0), F(1)), (F(-5, 3), F(1, 2)), (F(1, huge), F(huge - 1, huge))):
+            assert p.eval_interval(lo, hi) == _fraction_interval_horner(p, lo, hi)
+    for x in points:
+        assert Polynomial([-x, 1]).sign_at(x) == 0
+
+
+def _with_repeated_factors(rng):
+    p = Polynomial([rng.randint(1, 9)])
+    for _ in range(rng.randint(1, 4)):
+        factor = Polynomial([F(rng.randint(-9, 9), rng.randint(1, 5))
+                             for _ in range(rng.randint(1, 3))] + [1])
+        p = p * factor ** rng.randint(1, 3)
+    return p
+
+
+def test_square_free_is_the_gcd_quotient_without_gcd(monkeypatch):
+    rng = random.Random(29)
+    cases = [_with_repeated_factors(rng) for _ in range(40)]
+    expected = [p.exact_div(p.gcd(p.derivative())) for p in cases]
+
+    def refuse(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(Polynomial, "gcd", refuse)
+    for p, want in zip(cases, expected):
+        assert p.square_free().coeffs == want.coeffs
+    # a square-free p is its own part, and its Sturm chain is already built
+    p = Polynomial([-2, 0, 1])
+    assert p.square_free() is p
+    monkeypatch.setattr(Polynomial, "divmod", refuse)
+    assert sturm_sequence(p)[-1].degree == 0

@@ -20,14 +20,6 @@ def test_interval_basics():
     assert pt.is_point and pt.contains(F(2, 3))
 
 
-def test_interval_intersect_openness():
-    a = Interval(F(0), F(1), lo_open=True, hi_open=False)
-    b = Interval(F(0), F(1), lo_open=False, hi_open=True)
-    c = a.intersect(b)
-    assert c.lo_open and c.hi_open
-    assert a.intersect(Interval(F(2), F(3))) is None
-
-
 def test_sturm_sequence_shape():
     p = poly(-2, 0, 1)  # nu^2 - 2
     seq = sturm_sequence(p)
@@ -143,3 +135,38 @@ def test_isolation_is_sound_and_complete():
         # pairwise disjoint
         for a, b in zip(ivs, ivs[1:]):
             assert a.hi <= b.lo
+
+
+def _with_rational_roots(rng):
+    """Random factors times rational roots, some repeated and some on the
+    ends of the box or on bisection midpoints, so that isolation deflates
+    them and shrinks isolators off them."""
+    p = Polynomial([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+                   + [1])
+    for _ in range(rng.randint(1, 4)):
+        root = F(rng.randint(-8, 8), rng.choice((1, 2, 4, 3)))
+        p = p * poly(-root, 1) ** rng.randint(1, 2)
+    return p
+
+
+def test_isolate_roots_needs_no_gcd(monkeypatch):
+    rng = random.Random(19)
+    cases = [_with_rational_roots(rng) for _ in range(60)]
+    cases += [poly(-2, 0, 1), poly(-2, 0, 1) ** 2 * poly(-1, 1)]
+
+    def refuse(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(Polynomial, "gcd", refuse)
+    box = Interval(F(-2), F(2))
+    for p in cases:
+        ivs = isolate_roots(p, box)
+        sf = p.square_free()
+        assert len(ivs) == count_roots(p, box)
+        assert all(a.hi <= b.lo for a, b in zip(ivs, ivs[1:]))
+        for iv in ivs:
+            if iv.is_point:
+                assert sf.sign_at(iv.lo) == 0
+            else:
+                assert sf.sign_at(iv.lo) != 0 and sf.sign_at(iv.hi) != 0
+                assert count_roots(sf, iv) == 1
