@@ -8,6 +8,11 @@ Isolator invariant: an irrational number's closed isolator holds exactly one
 root of its defining polynomial, a simple one, and neither end is a root.  So
 a divisor of the defining polynomial has a root there iff it changes sign
 between the ends, which is how `equals` and `sign_of_poly_at` decide it.
+
+Root counts come from `roots`, by Descartes' rule of signs in integers:
+`sign_of_poly_at` refines until Descartes' bound shows that the polynomial
+has no root in the closed isolator (`root_bound`), and `from_root` and
+`evaluate_poly_at` count roots exactly from their isolators (`count_roots`).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .polynomials import Polynomial, format_polynomial
-from .roots import Interval, count_roots, refine_isolating
+from .roots import Interval, count_roots, refine_isolating, root_bound
 
 
 class AlgebraicNumber:
@@ -89,8 +94,11 @@ class AlgebraicNumber:
         g = self.defining.gcd(q)
         if g.degree >= 1 and g.sign_at(self.interval.lo) != g.sign_at(self.interval.hi):
             return 0
+        # q has no root here: refine until Descartes' bound proves that q
+        # has none in the closed isolator, which it does once the isolator
+        # is small enough
         a = self
-        while count_roots(q, a.interval.closure()) > 0:
+        while root_bound(q, a.interval.closure()) > 0:
             a = a.refined()
             if a.is_rational:
                 return q.sign_at(a.rational_value)

@@ -20,7 +20,7 @@ from .algebraic import AlgebraicNumber
 from .decide import SignCondition, exists_sat, lower_envelope_max, positive_cells
 from .formulas import CFormula, variables
 from .polynomials import ONE, Polynomial, simplest_between
-from .roots import Interval
+from .roots import Interval, bernstein
 from .semantics import (
     DEFAULT_MAX_GATES,
     AmbitionFormula,
@@ -69,27 +69,16 @@ class Optimum:
     diagnostic: str = ""
 
 
-def _taylor_shift(a: list[int]) -> list[int]:
-    """Coefficients of a(x + 1), from those of a(x), constant term first."""
-    a = list(a)
-    for i in range(len(a) - 1):
-        for j in range(len(a) - 2, i - 1, -1):
-            a[j] += a[j + 1]
-    return a
-
-
 def _least(polys: Iterable[Polynomial]) -> list[Polynomial]:
     """The distinct polys in first-occurrence order, less every p that lies
     at or above another member q on [1/2, 1] by the Bernstein bound.
 
     A polynomial's Bernstein coefficients on an interval enclose its values
-    there (Lane & Riesenfeld, BIT 1981), so when those of p - q on [1/2, 1]
-    are all >= 0, p >= q on the closed interval.  At the common degree d,
-    with p's integer form n(x) / L, the coefficients are the integers
-    c_i = 2^d * L * C(d, i) * b_i: with x = (1 + t)/2, 2^d * n(x) is a
-    polynomial e(t), and c_i is the coefficient of s^i in
-    sum_j e_j s^j (1 + s)^(d - j); both steps are Taylor shifts by 1.  The
-    test is then c(p) * L(q) >= c(q) * L(p) elementwise.  A dominating q has
+    there, so when those of p - q on [1/2, 1] are all >= 0, p >= q on the
+    closed interval.  At the common degree d, with p's integer form
+    n(x) / L, `roots.bernstein` gives them as the integers
+    c_i = 2^d * L * C(d, i) * b_i, and the test is
+    c(p) * L(q) >= c(q) * L(p) elementwise.  A dominating q has
     a smaller sum c / L and dominance is transitive, so deciding candidates
     by ascending sum against the survivors so far drops exactly the
     dominated.
@@ -99,9 +88,7 @@ def _least(polys: Iterable[Polynomial]) -> list[Polynomial]:
     bern: list[tuple[list[int], int]] = []
     for p in distinct:
         nums, den = p.integer_form
-        a = [n << (d - k) for k, n in enumerate(nums)]
-        e = _taylor_shift(a + [0] * (d + 1 - len(a)))
-        bern.append((_taylor_shift(e[::-1])[::-1], den))
+        bern.append((bernstein(nums, _HALF_OPEN_UNIT, d), den))
     # indices, not polynomials: hashing a polynomial hashes every Fraction
     kept: list[int] = []
     for i in sorted(range(len(distinct)),

@@ -81,11 +81,13 @@ def _sorted_unique(nums: list[AlgebraicNumber]) -> list[AlgebraicNumber]:
 
 
 def _roots_in(poly: Polynomial, iv: Interval) -> list[AlgebraicNumber]:
-    """The roots of poly in iv, built from isolate_roots' isolators as they are."""
-    sq = poly.square_free()
+    """The roots of poly in iv, built from isolate_roots' isolators as they
+    are; only an irrational one needs poly's square-free part (which
+    isolate_roots has then computed)."""
     return [
-        AlgebraicNumber.from_rational(r.lo) if r.is_point else AlgebraicNumber(sq, r)
-        for r in isolate_roots(sq, iv)
+        AlgebraicNumber.from_rational(r.lo) if r.is_point
+        else AlgebraicNumber(poly.square_free(), r)
+        for r in isolate_roots(poly, iv)
     ]
 
 

@@ -3,7 +3,12 @@
 Coefficients are stored constant-term first, with no trailing zeros.  The
 variable prints as ``nu``.  All arithmetic is exact; evaluation at a
 ``Fraction`` returns a ``Fraction``, and runs in integers on the
-coefficients' numerators over their common denominator.
+coefficients' numerators over their common denominator (`horner`).
+
+The square-free part is decided modulo the prime 2^61 - 1 first: when the
+prime does not divide the leading numerator and gcd(p, p') is a constant
+there, p is square-free over Q.  Only otherwise does `square_free` run the
+remainder sequence over Q (`roots.sturm_sequence`).
 """
 
 from __future__ import annotations
@@ -17,13 +22,60 @@ from .errors import ParseError
 
 Rat = Union[Fraction, int]
 
+# The prime of the square-free test.  It is far above MAX_DEGREE, so p'
+# keeps its degree modulo the prime whenever p does.
+SQUARE_FREE_PRIME = 2**61 - 1
+
+
+def horner(nums: Iterable[int], x: Rat) -> tuple[int, int]:
+    """(h, b^(d+1)) for x = a/b and d + 1 integer coefficients nums, constant
+    term first: h = sum_i nums[i] a^i b^(d-i) by homogeneous Horner, so h
+    has the sign of sum_i nums[i] x^i, which is h / b^d."""
+    a, b = x.numerator, x.denominator
+    acc = 0
+    b_power = 1
+    for n in reversed(nums):
+        acc = acc * a + n * b_power
+        b_power *= b
+    return acc, b_power
+
+
+def _coprime_to_derivative(nums: tuple[int, ...]) -> bool:
+    """True only if gcd(p, p') is a constant for p = sum_i nums[i] nu^i;
+    False leaves it open.  Decided by Euclid in GF(P), P the prime above:
+    when P does not divide the leading coefficient, the image of gcd(p, p')
+    over Q divides both images and keeps its degree, so the gcd mod P is
+    at least as high."""
+    P = SQUARE_FREE_PRIME
+    if nums[-1] % P == 0:
+        return False
+    a = [n % P for n in nums]
+    b = [i * n % P for i, n in enumerate(nums)][1:]
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        # a mod b, leading terms first; b's leading coefficient is nonzero
+        inv = pow(b[-1], P - 2, P)
+        db = len(b) - 1
+        for i in range(len(a) - 1, db - 1, -1):
+            c = a[i] * inv % P
+            if c:
+                for j in range(db + 1):
+                    a[i - db + j] = (a[i - db + j] - c * b[j]) % P
+        del a[db:]
+        while a and a[-1] == 0:
+            a.pop()
+        a, b = b, a
+    return len(a) == 1
+
 
 class Polynomial:
     # Memos filled on first use: the integer form (by integer_form, for every
-    # evaluation), the Sturm chain (by roots.sturm_sequence, which
-    # square_free calls), the square-free part and the hash.  Equality and
-    # hashing look at coeffs only.
-    __slots__ = ("coeffs", "_integers", "_square_free", "_sturm", "_hash")
+    # evaluation), the square-free part and the hash.  A square-free
+    # polynomial's memo is True rather than itself, so that no polynomial
+    # refers to itself and none is left to the cyclic garbage collector.
+    # Equality and hashing look at coeffs only.
+    __slots__ = ("coeffs", "_integers", "_square_free", "_hash")
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
@@ -31,8 +83,7 @@ class Polynomial:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
         self._integers: "tuple[tuple[int, ...], int] | None" = None
-        self._square_free: "Polynomial | None" = None
-        self._sturm: "tuple[Polynomial, ...] | None" = None
+        self._square_free: "Polynomial | bool | None" = None
         self._hash: "int | None" = None
 
     @classmethod
@@ -109,24 +160,14 @@ class Polynomial:
             self._integers = nums, den
         return self._integers
 
-    def _horner(self, x: Rat) -> tuple[int, int]:
-        """(h, b^(d+1)) for x = a/b, d the degree: h = sum_i n[i] a^i b^(d-i)
-        by homogeneous Horner, so p(x) = h * b / (L * b^(d+1)) has h's sign."""
-        a, b = x.numerator, x.denominator
-        acc = 0
-        b_power = 1
-        for n in reversed(self.integer_form[0]):
-            acc = acc * a + n * b_power
-            b_power *= b
-        return acc, b_power
-
     def sign_at(self, x: Rat) -> int:
         """Sign of p(x) at a rational x, in integers."""
-        acc, _ = self._horner(x)
+        acc, _ = horner(self.integer_form[0], x)
         return (acc > 0) - (acc < 0)
 
     def __call__(self, x: Rat) -> Fraction:
-        acc, b_power = self._horner(x)
+        # p(x) = h * b / (L * b^(d+1)) for (h, b^(d+1)) = horner(n, x)
+        acc, b_power = horner(self.integer_form[0], x)
         return Fraction(acc * x.denominator, self.integer_form[1] * b_power)
 
     def eval_interval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
@@ -187,17 +228,20 @@ class Polynomial:
 
     def square_free(self) -> "Polynomial":
         """Largest square-free divisor (same distinct roots), computed once:
-        p / monic(g) for g the last member of p's Sturm chain, gcd(p, p') up
-        to a constant; p itself, keeping its chain, when g is a constant."""
+        p itself when the test modulo SQUARE_FREE_PRIME finds it coprime to
+        p'; else p / monic(g) for g the last member of p's remainder
+        sequence (`roots.sturm_sequence`), gcd(p, p') up to a constant, and
+        p itself when g is a constant."""
         if self._square_free is None:
             q = self
-            if self.degree >= 1:
+            if self.degree >= 1 and not _coprime_to_derivative(self.integer_form[0]):
                 from .roots import sturm_sequence  # roots imports this module
                 g = sturm_sequence(self)[-1]
                 if g.degree >= 1:
                     q = self.exact_div(g.monic())
-            q._square_free = self._square_free = q
-        return self._square_free
+                    q._square_free = True
+            self._square_free = True if q is self else q
+        return self if self._square_free is True else self._square_free
 
     def __repr__(self) -> str:
         return f"Polynomial({format_polynomial(self)!r})"

@@ -1,15 +1,27 @@
-"""Exact real-root counting and isolation via Sturm sequences.
+"""Exact real-root counting and isolation by Descartes' rule of signs.
 
-The Sturm chain of p also gives its square-free part: its last member is
-gcd(p, p') up to a constant (`Polynomial.square_free`).
+The roots of a polynomial in an open interval (a, b) are bounded by the
+sign variations V of its Bernstein coefficients there (`bernstein`), all
+in integers: V is at least the number of roots counted with multiplicity,
+so V = 0 proves there is none and V = 1 that there is exactly one, a
+simple one.  Isolation bisects at dyadic midpoints until every piece has
+V = 0 or V = 1 (Collins & Akritas, SYMSAC 1976; Eigenwillig, Sharma & Yap,
+ISSAC 2006), which ends for a square-free polynomial.  Roots on the ends
+of an interval are divided out first, in integers, and the square-free
+part is taken only once V leaves a root inside possible.
+
+`sturm_sequence`, the Euclidean remainder sequence over Q, serves only as
+the fallback of `Polynomial.square_free`: its last member is gcd(p, p') up
+to a constant.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import Polynomial
+from .polynomials import Polynomial, horner
 
 
 @dataclass(frozen=True)
@@ -66,69 +78,129 @@ class Interval:
 
 
 def sturm_sequence(p: Polynomial) -> tuple[Polynomial, ...]:
-    """Sturm chain of p, built once and kept on p.  Its last member is
-    gcd(p, p') up to a constant."""
-    if p._sturm is None:
-        seq = [p, p.derivative()]
-        while not seq[-1].is_zero:
-            seq.append(-(seq[-2] % seq[-1]))
-        seq.pop()
-        p._sturm = tuple(seq)
-    return p._sturm
+    """Sturm chain of p: p, p' and the negated remainders of Euclid's
+    algorithm.  Its last member is gcd(p, p') up to a constant."""
+    seq = [p, p.derivative()]
+    while not seq[-1].is_zero:
+        seq.append(-(seq[-2] % seq[-1]))
+    seq.pop()
+    return tuple(seq)
 
 
-def _variations(seq: tuple[Polynomial, ...], x: Fraction) -> int:
-    signs = [s for s in (q.sign_at(x) for q in seq) if s]
+def taylor_shift(a: list[int], h: int = 1) -> list[int]:
+    """Coefficients of a(x + h), from those of a(x), constant term first."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += h * a[j + 1]
+    return a
+
+
+def _unit_form(nums, iv: Interval, degree: int) -> list[int]:
+    """Integer coefficients, constant term first, of f(t) = D^d n(x) at
+    x = lo + (hi - lo) t, for n(x) = sum_i nums[i] x^i taken at degree
+    d >= its own, [lo, hi] the closure of iv and D the least common
+    denominator of lo and hi: n on [lo, hi] mapped onto [0, 1], times a
+    positive constant."""
+    lo, hi = iv.lo, iv.hi
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    w = hi.numerator * (den // hi.denominator) - a
+    f = [n * den ** (degree - i) for i, n in enumerate(nums)]
+    f += [0] * (degree + 1 - len(f))
+    if a:
+        f = taylor_shift(f, a)
+    if w != 1:
+        f = [c * w**k for k, c in enumerate(f)]
+    return f
+
+
+def _unit_bernstein(f: list[int]) -> list[int]:
+    # with t = 1/(1 + s), (1 + s)^d f(t) = sum_i C(d, i) b_i s^(d-i)
+    return taylor_shift(f[::-1])[::-1]
+
+
+def bernstein(nums, iv: Interval, degree: int) -> list[int]:
+    """The integers D^d C(d, i) b_i, i = 0..d, for b_i the Bernstein
+    coefficients at degree d of sum_i nums[i] x^i on the closure [lo, hi]
+    of iv (D as in `_unit_form`).  The b_i enclose its values on [lo, hi]
+    (Lane & Riesenfeld, BIT 1981), and their sign variations are
+    Descartes' bound on its roots in (lo, hi)."""
+    return _unit_bernstein(_unit_form(nums, iv, degree))
+
+
+def _variations(f: list[int]) -> int:
+    """Descartes' bound on the roots in (0, 1) of the unit form f: the
+    sign variations of its Bernstein coefficients, zeros skipped."""
+    signs = [c > 0 for c in _unit_bernstein(f) if c]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _linear(root: Fraction) -> Polynomial:
-    return Polynomial([-root, 1])
+def _deflate(nums: list[int], x: Fraction) -> list[int]:
+    """The quotient of sum_i nums[i] t^i by (b t - a) at a root x = a/b,
+    integral by Gauss's lemma, by synthetic division from the top."""
+    a, b = x.numerator, x.denominator
+    out = [0] * (len(nums) - 1)
+    q = 0
+    for k in range(len(nums) - 1, 0, -1):
+        q = (nums[k] + a * q) // b
+        out[k - 1] = q
+    return out
 
 
-def _deflate_ends(q: Polynomial, iv: Interval) -> tuple[Polynomial, list[Fraction]]:
-    """q less its roots at the ends of iv, so that no Sturm evaluation lands
-    on a root, and those of them that iv includes."""
+def _deflate_ends(nums, iv: Interval) -> tuple[list[int], list[Fraction]]:
+    """The integer polynomial nums less each of its roots on the ends of iv,
+    multiplicity and all, and those of these roots that iv includes."""
+    nums = list(nums)
     ends = []
     for x, is_open in ((iv.lo, iv.lo_open), (iv.hi, iv.hi_open)):
-        if q.sign_at(x) == 0:
+        if len(nums) > 1 and horner(nums, x)[0] == 0:
             if not is_open:
                 ends.append(x)
-            q = q.exact_div(_linear(x))
-    return q, ends
+            while len(nums) > 1 and horner(nums, x)[0] == 0:
+                nums = _deflate(nums, x)
+    return nums, ends
+
+
+def root_bound(p: Polynomial, iv: Interval) -> int:
+    """An upper bound on the number of distinct roots of p in iv: its roots
+    on the ends that iv includes plus Descartes' bound inside.  It is 0 iff
+    p has no root in iv, and 1 only if p has exactly one."""
+    if p.is_zero:
+        raise ValueError("root_bound of the zero polynomial")
+    nums, ends = _deflate_ends(p.integer_form[0], iv)
+    if len(nums) < 2 or iv.is_point:
+        return len(ends)
+    return len(ends) + _variations(_unit_form(nums, iv, len(nums) - 1))
 
 
 def count_roots(p: Polynomial, iv: Interval) -> int:
-    """Exact number of distinct real roots of p in iv."""
+    """Exact number of distinct real roots of p in iv: its isolators."""
     if p.is_zero:
         raise ValueError("count_roots of the zero polynomial")
-    q = p.square_free()
-    if q.degree < 1:
-        return 0
-    q, ends = _deflate_ends(q, iv)
-    if q.degree < 1:
-        return len(ends)
-    seq = sturm_sequence(q)
-    return len(ends) + _variations(seq, iv.lo) - _variations(seq, iv.hi)
+    return len(isolate_roots(p, iv))
 
 
 def isolate_roots(p: Polynomial, iv: Interval) -> list[Interval]:
     """Disjoint rational-endpoint intervals, one distinct root of p each.
 
     Open intervals carry non-root endpoints; exact rational roots come back
-    as point intervals.
+    as point intervals.  p's square-free part is taken only when Descartes'
+    bound for p less its end roots leaves a root inside iv possible.
     """
     if p.is_zero:
         raise ValueError("isolate_roots of the zero polynomial")
-    sq = p.square_free()
-    if sq.degree < 1:
-        return []
-    q, ends = _deflate_ends(sq, iv)
+    nums, ends = _deflate_ends(p.integer_form[0], iv)
     out = [Interval.point(x) for x in ends]
-    if q.degree >= 1:
-        inner: list[Interval] = []
-        _isolate_open(q, sturm_sequence(q), iv.lo, iv.hi, inner)
-        out.extend(_shrink_off_root_endpoints(sq, r) for r in inner)
+    if len(nums) > 1 and not iv.is_point:
+        f = _unit_form(nums, iv, len(nums) - 1)
+        if _variations(f) > 0:
+            sq = p.square_free()
+            if sq is not p:
+                nums, _ = _deflate_ends(sq.integer_form[0], iv)
+                f = _unit_form(nums, iv, len(nums) - 1)
+            inner = _isolate_open(f, iv.lo, iv.hi)
+            out.extend(_shrink_off_root_endpoints(sq, r) for r in inner)
     out.sort(key=lambda r: r.lo)
     return out
 
@@ -155,29 +227,33 @@ def _shrink_off_root_endpoints(q: Polynomial, iv: Interval) -> Interval:
     return iv
 
 
-def _isolate_open(
-    q: Polynomial,
-    seq: tuple[Polynomial, ...],
-    a: Fraction,
-    b: Fraction,
-    out: list[Interval],
-) -> None:
-    # Invariant: q(a) != 0 != q(b), q square-free.
-    n = _variations(seq, a) - _variations(seq, b)
-    if n == 0:
-        return
-    if n == 1:
-        out.append(Interval(a, b, lo_open=True, hi_open=True))
-        return
-    m = (a + b) / 2
-    if q.sign_at(m) == 0:
-        out.append(Interval.point(m))
-        q = q.exact_div(_linear(m))
-        if q.degree < 1:
-            return
-        seq = sturm_sequence(q)
-    _isolate_open(q, seq, a, m, out)
-    _isolate_open(q, seq, m, b, out)
+def _isolate_open(f: list[int], a: Fraction, b: Fraction) -> list[Interval]:
+    """Isolators of the roots in (a, b) of a square-free polynomial with
+    unit form f on [a, b], f(0) != 0 != f(1): open intervals with dyadic
+    ends, and the point of each root met on a midpoint."""
+    out: list[Interval] = []
+    todo = [(f, a, b)]  # depth first, left half first
+    while todo:
+        f, a, b = todo.pop()
+        n = _variations(f)
+        if n == 0:
+            continue
+        if n == 1:
+            out.append(Interval(a, b, lo_open=True, hi_open=True))
+            continue
+        # the halves' unit forms: 2^d f(t/2) and 2^d f((1 + t)/2)
+        m = (a + b) / 2
+        d = len(f) - 1
+        left = [c << (d - k) for k, c in enumerate(f)]
+        right = taylor_shift(left)
+        if right[0] == 0:  # a root on the midpoint: divide it out of both
+            out.append(Interval.point(m))
+            if d == 1:
+                continue
+            left, right = _deflate(left, Fraction(1)), right[1:]
+        todo.append((right, m, b))
+        todo.append((left, a, m))
+    return out
 
 
 def refine_isolating(p: Polynomial, iv: Interval) -> Interval:

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import re
@@ -15,6 +16,7 @@ from uclogic.polynomials import (
     MAX_COEFF_BITS,
     MAX_DEGREE,
     ONE,
+    SQUARE_FREE_PRIME,
     ZERO,
     NU,
     Polynomial,
@@ -342,6 +344,8 @@ def _with_repeated_factors(rng):
 def test_square_free_is_the_gcd_quotient_without_gcd(monkeypatch):
     rng = random.Random(29)
     cases = [_with_repeated_factors(rng) for _ in range(40)]
+    # times the prime of the modular test, which sends them to the fallback
+    cases += [p.scale(SQUARE_FREE_PRIME) for p in cases[:20]]
     expected = [p.exact_div(p.gcd(p.derivative())) for p in cases]
 
     def refuse(*args):
@@ -350,8 +354,71 @@ def test_square_free_is_the_gcd_quotient_without_gcd(monkeypatch):
     monkeypatch.setattr(Polynomial, "gcd", refuse)
     for p, want in zip(cases, expected):
         assert p.square_free().coeffs == want.coeffs
-    # a square-free p is its own part, and its Sturm chain is already built
+    # a square-free p is its own part, and the modular test finds it with
+    # no division over Q
+    monkeypatch.setattr(Polynomial, "divmod", refuse)
     p = Polynomial([-2, 0, 1])
     assert p.square_free() is p
+
+
+def _distinct_factors(rng):
+    """A product of distinct linear and irreducible quadratic factors: a
+    square-free polynomial."""
+    roots = rng.sample([F(n, d) for n in range(-6, 7) for d in (1, 2, 3, 5)], rng.randint(0, 4))
+    p = Polynomial([F(rng.randint(1, 9), rng.randint(1, 4))])
+    for r in dict.fromkeys(roots):
+        p = p * Polynomial([-r, 1])
+    for c in rng.sample(range(1, 8), rng.randint(0, 2)):
+        p = p * Polynomial([c, 0, 1])  # nu^2 + c
+    return p
+
+
+def test_square_free_input_makes_no_division(monkeypatch):
+    rng = random.Random(31)
+    cases = [_distinct_factors(rng) for _ in range(60)]
+
+    def refuse(*args):
+        raise AssertionError("called")
+
     monkeypatch.setattr(Polynomial, "divmod", refuse)
-    assert sturm_sequence(p)[-1].degree == 0
+    monkeypatch.setattr("uclogic.roots.sturm_sequence", refuse)
+    for p in cases:
+        assert p.square_free() is p
+
+
+def test_square_free_falls_back_when_the_prime_divides_the_lead(monkeypatch):
+    from uclogic import roots
+
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return sturm_sequence(p)
+
+    monkeypatch.setattr(roots, "sturm_sequence", counted)
+    square_free = Polynomial([-2, 0, SQUARE_FREE_PRIME])
+    assert square_free.square_free() is square_free
+    assert calls == [square_free]
+    repeated = Polynomial([-1, 1]) ** 2 * Polynomial([2, SQUARE_FREE_PRIME])
+    part = repeated.square_free()
+    assert len(calls) == 2
+    assert part.coeffs == repeated.exact_div(repeated.gcd(repeated.derivative())).coeffs
+    # the leading numerator counts, over the least common denominator
+    scaled = Polynomial([F(1, 3), 0, F(SQUARE_FREE_PRIME, 3)])
+    assert scaled.square_free() is scaled and len(calls) == 3
+    assert Polynomial([-2, 0, 1]).square_free() and len(calls) == 3
+
+
+def test_filled_memos_leave_no_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        for coeffs in ([-2, 0, 1], [1, -2, 1], [F(1, 3), -1, 0, 2]):
+            p = Polynomial(coeffs) * Polynomial([-1, 1])
+            part = p.square_free()
+            hash(p), hash(part), p.integer_form, part.integer_form
+            assert part.square_free() is part
+            del p, part
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -27,14 +27,21 @@ def test_sturm_sequence_shape():
     assert seq[-1].degree == 0
 
 
-def test_sturm_sequence_is_memoized():
+def test_root_counting_builds_no_sturm_chain(monkeypatch):
     p = poly(-2, 0, 1)
     seq = sturm_sequence(p)
-    assert sturm_sequence(p) is seq
-    twin = poly(-2, 0, 1)  # equal but unfilled: builds an equal chain
-    assert sturm_sequence(twin) == seq and twin == p
+    twin = poly(-2, 0, 1)  # nothing is kept on p: an equal chain, rebuilt
+    assert sturm_sequence(twin) == seq and sturm_sequence(p) is not seq
+
+    def refuse(*args):
+        raise AssertionError("called")
+
+    # a square-free input never reaches the remainder sequence over Q
+    monkeypatch.setattr("uclogic.roots.sturm_sequence", refuse)
+    monkeypatch.setattr(Polynomial, "divmod", refuse)
     assert count_roots(p, Interval(F(0), F(2))) == 1
-    assert sturm_sequence(p) is seq
+    assert count_roots(p * poly(-1, 1), Interval(F(-2), F(2))) == 3
+    assert len(isolate_roots(poly(-2, 0, 1), Interval(F(-2), F(2)))) == 2
 
 
 def test_count_roots_known():
@@ -115,7 +122,7 @@ def test_count_roots_against_numpy_oracle():
             continue
         exact = count_roots(p, Interval(lo, hi))
         approx = _numpy_root_count(p.coeffs, float(lo), float(hi))
-        assert exact == approx, f"{p.coeffs} on [{lo},{hi}]: sturm={exact} numpy={approx}"
+        assert exact == approx, f"{p.coeffs} on [{lo},{hi}]: exact={exact} numpy={approx}"
 
 
 def test_isolation_is_sound_and_complete():

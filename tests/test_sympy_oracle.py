@@ -1,11 +1,12 @@
 """Differential tests of the root kernel against sympy.
 
 Every root-counting function is called twice on the same object, so the
-second call reads the square-free part and Sturm chain memoized by the
-first.  Resultants are checked against the determinant of sympy's Sylvester
+second call reads the square-free part memoized by the first.  Isolators
+are checked against sympy's `real_roots`.  Resultants are checked against the determinant of sympy's Sylvester
 matrix (not `sympy.resultant`, whose sign convention differs).
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -20,8 +21,10 @@ from uclogic.algebraic import (  # noqa: E402
     scalar_resultant,
     value_defining_polynomial,
 )
+from uclogic.formulas import parse_cformula  # noqa: E402
 from uclogic.polynomials import Polynomial  # noqa: E402
-from uclogic.roots import Interval, count_roots  # noqa: E402
+from uclogic.roots import Interval, count_roots, isolate_roots  # noqa: E402
+from uclogic.semantics import success_table  # noqa: E402
 
 NU = sympy.Symbol("nu")
 
@@ -74,6 +77,69 @@ def test_count_roots_and_square_free_match_sympy(p, a, b):
 @settings(max_examples=150, deadline=None)
 def test_repeated_roots_match_sympy(factors, a, b):
     _check(_product(factors), a, b)
+
+
+# --- isolation against sympy's real roots -----------------------------------
+
+
+def _rational(x: F):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _check_isolation(p: Polynomial, iv: Interval) -> None:
+    """isolate_roots and count_roots against the distinct real roots of p in
+    iv by sympy: one isolator per root, in order, a point exactly at a
+    rational root and an open interval strictly around an irrational one,
+    with no root of p at its ends."""
+    roots = [r for r in dict.fromkeys(sympy.real_roots(_sympy(p)))
+             if (r > _rational(iv.lo) if iv.lo_open else r >= _rational(iv.lo))
+             and (r < _rational(iv.hi) if iv.hi_open else r <= _rational(iv.hi))]
+    isolators = isolate_roots(p, iv)
+    assert len(isolators) == len(roots) == count_roots(p, iv), (p, iv)
+    for r, box in zip(sorted(roots), isolators):
+        if box.is_point:
+            assert r == _rational(box.lo), (p, iv, box)
+        else:
+            assert _rational(box.lo) < r < _rational(box.hi), (p, iv, box)
+            assert p.sign_at(box.lo) != 0 and p.sign_at(box.hi) != 0
+    assert all(a.hi <= b.lo for a, b in zip(isolators, isolators[1:]))
+
+
+def _linear(root: F) -> Polynomial:
+    return Polynomial([-root, 1])
+
+
+def test_isolation_matches_sympy_real_roots():
+    rng = random.Random(41)
+    # roots on the ends of (1/2, 1], on its dyadic midpoints and elsewhere
+    special = [F(1, 2), F(1), F(3, 4), F(5, 8), F(7, 8), F(11, 16), F(2, 3), F(0)]
+    for i in range(120):
+        p = Polynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 4))] + [1])
+        for _ in range(rng.randint(1, 3)):
+            p = p * _linear(rng.choice(special)) ** rng.randint(1, 3)
+        for _ in range(rng.randint(0, 2)):  # repeated irreducible factors
+            p = p * Polynomial([-rng.randint(1, 5), 0, 1]) ** rng.randint(1, 2)
+        lo = F(rng.randint(-4, 2), rng.choice((1, 2, 4)))
+        iv = (Interval(F(1, 2), F(1), lo_open=True) if i % 2 else
+              Interval(lo, lo + F(rng.randint(1, 6), rng.choice((1, 2))),
+                       lo_open=rng.random() < 0.5, hi_open=rng.random() < 0.5))
+        _check_isolation(p, iv)
+
+
+def test_success_table_crossings_match_sympy_real_roots():
+    half_open = Interval(F(1, 2), F(1), lo_open=True)
+    for text in [
+        "(not? (nor? (and? x3 x3) (maj5? x3 x2 (nimp? x4 x1) x3 (nmaj3? x2 x5 x1))))",
+        "(iff (or? x1 (and? x2 x3)) (or x1 (and x2 x3)))",
+        "(maj3? (xor? x y) (and? x z) (or? y z))",
+    ]:
+        polys = list(dict.fromkeys(p for _, p in success_table(parse_cformula(text))))
+        crossings = [p - q for i, p in enumerate(polys) for q in polys[i + 1:]]
+        levels = [p - Polynomial([mu]) for p in polys
+                  for mu in (F(1, 2), F(3, 4), F(7, 10), F(1))]
+        for p in crossings + levels:
+            if p.degree >= 1:
+                _check_isolation(p, half_open)
 
 
 # --- resultants against the Sylvester determinant --------------------------
