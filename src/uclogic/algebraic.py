@@ -8,6 +8,8 @@ Isolator invariant: an irrational number's closed isolator holds exactly one
 root of its defining polynomial, a simple one, and neither end is a root.  So
 a divisor of the defining polynomial has a root there iff it changes sign
 between the ends, which is how `equals` and `sign_of_poly_at` decide it.
+`compare` decides apart isolators first, by their ends alone; only when
+they overlap does it call `equals` (and so a gcd), once, then refine.
 
 Root counts come from `roots`, by Descartes' rule of signs in integers:
 `sign_of_poly_at` refines until Descartes' bound shows that the polynomial
@@ -126,11 +128,12 @@ class AlgebraicNumber:
         if self.is_rational and other.is_rational:
             x, y = self.rational_value, other.rational_value
             return (x > y) - (x < y)
-        if self.equals(other):
-            return 0
         a, b = self, other
-        while not (a.interval.hi <= b.interval.lo or b.interval.hi <= a.interval.lo):
-            a, b = a.refined(), b.refined()
+        if not _apart(a, b):
+            if a.equals(b):
+                return 0
+            while not _apart(a, b):
+                a, b = a.refined(), b.refined()
         return -1 if a.interval.hi <= b.interval.lo else 1
 
     def __str__(self) -> str:
@@ -142,6 +145,12 @@ class AlgebraicNumber:
 
     def __repr__(self) -> str:
         return f"AlgebraicNumber({self})"
+
+
+def _apart(a: AlgebraicNumber, b: AlgebraicNumber) -> bool:
+    """Do the isolators of a and b, not both rational, meet at most in an
+    end?  Then a != b, since an irrational number is no end of its isolator."""
+    return a.interval.hi <= b.interval.lo or b.interval.hi <= a.interval.lo
 
 
 def scalar_resultant(f: Polynomial, g: Polynomial) -> Fraction:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import floor
 from typing import Iterable, Optional, Sequence
 
@@ -60,23 +61,11 @@ class SignCondition:
 
 
 def _sorted_unique(nums: list[AlgebraicNumber]) -> list[AlgebraicNumber]:
+    """nums sorted, each value once: the first of equal numbers is kept."""
     out: list[AlgebraicNumber] = []
-    for a in nums:
-        lo = 0
-        hi = len(out)
-        dup = False
-        while lo < hi:
-            mid = (lo + hi) // 2
-            c = a.compare(out[mid])
-            if c == 0:
-                dup = True
-                break
-            if c < 0:
-                hi = mid
-            else:
-                lo = mid + 1
-        if not dup:
-            out.insert(lo, a)
+    for a in sorted(nums, key=cmp_to_key(AlgebraicNumber.compare)):
+        if not out or a.compare(out[-1]) != 0:
+            out.append(a)
     return out
 
 

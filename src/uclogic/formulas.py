@@ -116,37 +116,37 @@ def variables(f: CFormula) -> set[str]:
 def fau(f: CFormula) -> list[tuple[int, ...]]:
     """Positions of unreliable occurrences, depth-first pre-order."""
     out: list[tuple[int, ...]] = []
-
-    def walk(node: CFormula, path: tuple[int, ...]) -> None:
-        if isinstance(node, App):
-            if node.conn.unreliable:
-                out.append(path)
-            for i, a in enumerate(node.args):
-                walk(a, path + (i,))
-
-    walk(f, ())
+    _gate_paths(f, (), out)
     return out
+
+
+def _gate_paths(node: CFormula, path: tuple[int, ...], out: list) -> None:
+    if isinstance(node, App):
+        if node.conn.unreliable:
+            out.append(path)
+        for i, a in enumerate(node.args):
+            _gate_paths(a, path + (i,), out)
 
 
 def apply_pattern(f: CFormula, pattern: Sequence[bool]) -> CFormula:
     """Resolve each unreliable gate: bit False = correct, True = misfire."""
     bits = iter(pattern)
-
-    def walk(node: CFormula) -> CFormula:
-        if not isinstance(node, App):
-            return node
-        conn = node.conn
-        if conn.unreliable:  # next raises StopIteration when the bits run out
-            conn = (conn.counterpart() if next(bits) else conn).as_reliable()
-        return App(conn, tuple([walk(a) for a in node.args]))
-
     try:
-        out = walk(f)
+        out = _resolve(f, bits)
     except StopIteration:
         out = None
     if out is None or next(bits, None) is not None:
         raise ValueError(f"pattern length {len(pattern)} != gate count {len(fau(f))}")
     return out
+
+
+def _resolve(node: CFormula, bits) -> CFormula:
+    if not isinstance(node, App):
+        return node
+    conn = node.conn
+    if conn.unreliable:  # next raises StopIteration when the bits run out
+        conn = (conn.counterpart() if next(bits) else conn).as_reliable()
+    return App(conn, tuple([_resolve(a, bits) for a in node.args]))
 
 
 def outcome_template(f: CFormula) -> tuple[str, list[tuple[str, str]]]:
@@ -156,19 +156,19 @@ def outcome_template(f: CFormula) -> tuple[str, list[tuple[str, str]]]:
     `template % names` prints apply_pattern(f, pattern), so the fillings
     from itertools.product(*slots) come in pattern order."""
     slots: list[tuple[str, str]] = []
+    return _template(f, slots), slots
 
-    def walk(node: CFormula) -> str:
-        if not isinstance(node, App):
-            return format_cformula(node).replace("%", "%%")
-        conn = node.conn
-        name = conn.name
-        if conn.unreliable:
-            slots.append((conn.as_reliable().name,
-                          conn.counterpart().as_reliable().name))
-            name = "%s"
-        return f"({' '.join([name] + [walk(a) for a in node.args])})"
 
-    return walk(f), slots
+def _template(node: CFormula, slots: list) -> str:
+    if not isinstance(node, App):
+        return format_cformula(node).replace("%", "%%")
+    conn = node.conn
+    name = conn.name
+    if conn.unreliable:
+        slots.append((conn.as_reliable().name,
+                      conn.counterpart().as_reliable().name))
+        name = "%s"
+    return f"({' '.join([name] + [_template(a, slots) for a in node.args])})"
 
 
 def eval_pl(f: CFormula, valuation: Mapping[str, bool]) -> bool:
@@ -243,48 +243,48 @@ def parse_cformula(text: str) -> CFormula:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty formula")
-    idx = 0
-
-    def parse_node(depth: int) -> CFormula:
-        nonlocal idx
-        if idx >= len(tokens):
-            raise ParseError("unexpected end of formula", len(text))
-        tok, pos = tokens[idx]
-        idx += 1
-        if tok == "(":
-            if depth == MAX_DEPTH:
-                raise ParseError(
-                    f"formula nested deeper than {MAX_DEPTH} levels", pos
-                )
-            if idx >= len(tokens):
-                raise ParseError("expected connective after '('", pos)
-            op_tok, op_pos = tokens[idx]
-            idx += 1
-            conn = _parse_op(op_tok, op_pos)
-            args = []
-            while idx < len(tokens) and tokens[idx][0] != ")":
-                args.append(parse_node(depth + 1))
-            if idx >= len(tokens):
-                raise ParseError("missing ')'", len(text))
-            idx += 1  # consume ')'
-            if len(args) != conn.arity:
-                raise ParseError(
-                    f"{conn.name} expects {conn.arity} arguments, got {len(args)}",
-                    op_pos,
-                )
-            return App(conn, tuple(args))
-        if tok == ")":
-            raise ParseError("unexpected ')'", pos)
-        if tok == "T":
-            return Const(True)
-        if tok == "F":
-            return Const(False)
-        if _VAR_RE.match(tok):
-            return Var(tok)
-        raise ParseError(f"invalid token {tok!r}", pos)
-
-    node = parse_node(0)
+    node, idx = _parse_node(tokens, 0, 0, len(text))
     if idx < len(tokens):
         tok, pos = tokens[idx]
         raise ParseError(f"trailing input {tok!r}", pos)
     return node
+
+
+def _parse_node(
+    tokens: list[tuple[str, int]], idx: int, depth: int, end: int
+) -> tuple[CFormula, int]:
+    """The formula at tokens[idx], nested depth gates deep, and the index
+    after it; end is the length of the text, where input runs out."""
+    if idx >= len(tokens):
+        raise ParseError("unexpected end of formula", end)
+    tok, pos = tokens[idx]
+    idx += 1
+    if tok == "(":
+        if depth == MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", pos)
+        if idx >= len(tokens):
+            raise ParseError("expected connective after '('", pos)
+        op_tok, op_pos = tokens[idx]
+        idx += 1
+        conn = _parse_op(op_tok, op_pos)
+        args = []
+        while idx < len(tokens) and tokens[idx][0] != ")":
+            arg, idx = _parse_node(tokens, idx, depth + 1, end)
+            args.append(arg)
+        if idx >= len(tokens):
+            raise ParseError("missing ')'", end)
+        if len(args) != conn.arity:
+            raise ParseError(
+                f"{conn.name} expects {conn.arity} arguments, got {len(args)}",
+                op_pos,
+            )
+        return App(conn, tuple(args)), idx + 1  # past ')'
+    if tok == ")":
+        raise ParseError("unexpected ')'", pos)
+    if tok == "T":
+        return Const(True), idx
+    if tok == "F":
+        return Const(False), idx
+    if _VAR_RE.match(tok):
+        return Var(tok), idx
+    raise ParseError(f"invalid token {tok!r}", pos)

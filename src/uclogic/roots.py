@@ -10,6 +10,10 @@ ISSAC 2006), which ends for a square-free polynomial.  Roots on the ends
 of an interval are divided out first, in integers, and the square-free
 part is taken only once V leaves a root inside possible.
 
+`_isolate_open` establishes the isolator invariant of `algebraic` itself:
+a piece with V = 1 (counted once, when the piece is made) is an isolator
+only when neither end is a root, and is split again otherwise.
+
 `sturm_sequence`, the Euclidean remainder sequence over Q, serves only as
 the fallback of `Polynomial.square_free`: its last member is gcd(p, p') up
 to a constant.
@@ -150,13 +154,12 @@ def _deflate(nums: list[int], x: Fraction) -> list[int]:
 
 def _deflate_ends(nums, iv: Interval) -> tuple[list[int], list[Fraction]]:
     """The integer polynomial nums less each of its roots on the ends of iv,
-    multiplicity and all, and those of these roots that iv includes."""
+    multiplicity and all, and these roots, whether iv includes them or not."""
     nums = list(nums)
     ends = []
-    for x, is_open in ((iv.lo, iv.lo_open), (iv.hi, iv.hi_open)):
+    for x in (iv.lo, iv.hi):
         if len(nums) > 1 and horner(nums, x)[0] == 0:
-            if not is_open:
-                ends.append(x)
+            ends.append(x)
             while len(nums) > 1 and horner(nums, x)[0] == 0:
                 nums = _deflate(nums, x)
     return nums, ends
@@ -164,14 +167,15 @@ def _deflate_ends(nums, iv: Interval) -> tuple[list[int], list[Fraction]]:
 
 def root_bound(p: Polynomial, iv: Interval) -> int:
     """An upper bound on the number of distinct roots of p in iv: its roots
-    on the ends that iv includes plus Descartes' bound inside.  It is 0 iff
-    p has no root in iv, and 1 only if p has exactly one."""
+    on the ends that iv includes plus Descartes' bound inside.  It is 0 only
+    if p has no root in iv, and 1 only if p has exactly one."""
     if p.is_zero:
         raise ValueError("root_bound of the zero polynomial")
     nums, ends = _deflate_ends(p.integer_form[0], iv)
+    bound = sum(1 for x in ends if iv.contains(x))
     if len(nums) < 2 or iv.is_point:
-        return len(ends)
-    return len(ends) + _variations(_unit_form(nums, iv, len(nums) - 1))
+        return bound
+    return bound + _variations(_unit_form(nums, iv, len(nums) - 1))
 
 
 def count_roots(p: Polynomial, iv: Interval) -> int:
@@ -191,54 +195,34 @@ def isolate_roots(p: Polynomial, iv: Interval) -> list[Interval]:
     if p.is_zero:
         raise ValueError("isolate_roots of the zero polynomial")
     nums, ends = _deflate_ends(p.integer_form[0], iv)
-    out = [Interval.point(x) for x in ends]
+    out = [Interval.point(x) for x in ends if iv.contains(x)]
     if len(nums) > 1 and not iv.is_point:
         f = _unit_form(nums, iv, len(nums) - 1)
-        if _variations(f) > 0:
+        n = _variations(f)
+        if n:
             sq = p.square_free()
             if sq is not p:
                 nums, _ = _deflate_ends(sq.integer_form[0], iv)
                 f = _unit_form(nums, iv, len(nums) - 1)
-            inner = _isolate_open(f, iv.lo, iv.hi)
-            out.extend(_shrink_off_root_endpoints(sq, r) for r in inner)
+                n = _variations(f)
+            out += _isolate_open(f, n, iv.lo, iv.hi, set(ends))
     out.sort(key=lambda r: r.lo)
     return out
 
 
-def _shrink_off_root_endpoints(q: Polynomial, iv: Interval) -> Interval:
-    """Shrink an open isolator until neither endpoint is a root of q.
-
-    Deflation of rational roots during isolation can leave such a root
-    sitting exactly on the boundary of a neighbouring isolator, which would
-    break the bisection refinement of that interval later on.
-    """
-    while not iv.is_point and (q.sign_at(iv.lo) == 0 or q.sign_at(iv.hi) == 0):
-        m = iv.midpoint
-        sign = q.sign_at(m)
-        if sign == 0:
-            # the only root of q strictly inside iv is the isolated one
-            return Interval.point(m)
-        # the root is in (lo, m) iff q's sign at m differs from that just
-        # right of lo: q's at lo, or its derivative's at a (simple) root lo
-        if (q.sign_at(iv.lo) or q.derivative().sign_at(iv.lo)) != sign:
-            iv = Interval(iv.lo, m, lo_open=True, hi_open=True)
-        else:
-            iv = Interval(m, iv.hi, lo_open=True, hi_open=True)
-    return iv
-
-
-def _isolate_open(f: list[int], a: Fraction, b: Fraction) -> list[Interval]:
+def _isolate_open(
+    f: list[int], n: int, a: Fraction, b: Fraction, roots: set[Fraction]
+) -> list[Interval]:
     """Isolators of the roots in (a, b) of a square-free polynomial with
-    unit form f on [a, b], f(0) != 0 != f(1): open intervals with dyadic
-    ends, and the point of each root met on a midpoint."""
+    unit form f on [a, b], f(0) != 0 != f(1), and Descartes' bound n there:
+    open intervals with dyadic ends, neither of them a root, and the point
+    of each root met on a midpoint.  roots holds the roots on a and b, and
+    gains each root met on a midpoint."""
     out: list[Interval] = []
-    todo = [(f, a, b)]  # depth first, left half first
+    todo = [(f, n, a, b)] if n else []  # depth first, left half first
     while todo:
-        f, a, b = todo.pop()
-        n = _variations(f)
-        if n == 0:
-            continue
-        if n == 1:
+        f, n, a, b = todo.pop()
+        if n == 1 and a not in roots and b not in roots:
             out.append(Interval(a, b, lo_open=True, hi_open=True))
             continue
         # the halves' unit forms: 2^d f(t/2) and 2^d f((1 + t)/2)
@@ -248,11 +232,14 @@ def _isolate_open(f: list[int], a: Fraction, b: Fraction) -> list[Interval]:
         right = taylor_shift(left)
         if right[0] == 0:  # a root on the midpoint: divide it out of both
             out.append(Interval.point(m))
+            roots.add(m)
             if d == 1:
                 continue
             left, right = _deflate(left, Fraction(1)), right[1:]
-        todo.append((right, m, b))
-        todo.append((left, a, m))
+        for g, lo, hi in ((right, m, b), (left, a, m)):
+            v = _variations(g)
+            if v:
+                todo.append((g, v, lo, hi))
     return out
 
 

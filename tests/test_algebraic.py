@@ -70,6 +70,28 @@ def test_equals_and_compare():
     assert SQRT2.compare(AlgebraicNumber.from_rational(F(7, 5))) == 1
 
 
+def test_compare_of_apart_isolators_takes_no_gcd(monkeypatch):
+    low = AlgebraicNumber(poly(-2, 0, 1), Interval(F(1), F(3, 2), True, True))
+    high = AlgebraicNumber(poly(-3, 0, 1), Interval(F(3, 2), F(2), True, True))
+
+    def refuse(*args):
+        raise AssertionError("gcd called")
+
+    monkeypatch.setattr(Polynomial, "gcd", refuse)
+    assert low.compare(high) == -1 and high.compare(low) == 1
+
+
+def test_compare_of_equal_irrationals_takes_one_gcd(monkeypatch):
+    # sqrt 2 as a root of nu^2 - 2 and of (nu^2 - 2)(nu - 3), overlapping
+    a = AlgebraicNumber(poly(-2, 0, 1), Interval(F(5, 4), F(2), True, True))
+    b = AlgebraicNumber(poly(-2, 0, 1) * poly(-3, 1), Interval(F(1), F(3, 2), True, True))
+    calls = []
+    gcd = Polynomial.gcd
+    monkeypatch.setattr(Polynomial, "gcd", lambda p, q: calls.append(1) or gcd(p, q))
+    assert a.compare(b) == 0 and b.compare(a) == 0
+    assert len(calls) == 2
+
+
 def test_equals_rational():
     rat = AlgebraicNumber.from_rational
     # (3 nu - 2)(nu + 1): the rational root 2/3 held in an open isolator

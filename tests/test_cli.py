@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -509,3 +510,31 @@ def test_parser_recovers_after_a_rejected_call(capsys):
     code, doc = run_json(capsys, "abduce", "-f", "(or? x (not? x))",
                          "--mu", "7/10", "--k", "4")
     assert code == 0 and doc["payload"]["k"] == 4
+
+
+def test_queries_leave_no_cyclic_garbage(capsys):
+    """One query of every command frees all it made by reference counting:
+    with the collector off, a collection afterwards finds nothing."""
+    f = ["-f", "(iff (or? x1 x2) (or x1 x2))"]
+    queries = [
+        ["entails", *f, "--gamma", "mu <= nu"],
+        ["witness", *f, "--json"],
+        ["sat", *f],
+        ["abduce", *f, "--mu", "3/4", "--k", "8", "--json"],
+        ["decide-rate", *f, "--mu", "3/4"],
+        ["optimize", *f, "--json"],
+        ["eval", *f, "--assign", "x1=1,x2=0", "--nu", "3/4", "--mu", "1/2"],
+        ["outcomes", *f, "--json"],
+    ]
+    for argv in queries:  # first calls build the parser and fill caches
+        main(argv)
+    capsys.readouterr()
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in queries:
+            main(argv)
+        capsys.readouterr()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

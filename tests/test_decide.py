@@ -570,3 +570,15 @@ def test_envelope_makes_no_sign_test(monkeypatch):
         lower_envelope_max(polys, HALF_OPEN)
     lower_envelope_max([poly(0, 0, 1), poly(1, -1)], Interval(F(0), F(1)))
     assert calls == []
+
+
+def test_breakpoints_keep_the_first_of_equal_roots():
+    """Equal roots of two polynomials are one breakpoint: the first
+    polynomial's, with its defining polynomial."""
+    first = poly(-2, 0, 1) * poly(-3, 1)
+    points = _breakpoints([first, poly(-2, 0, 1)], Interval(F(1), F(2)))
+    assert [str(a) for a in points] == [
+        "1", "root of nu^3 - 3*nu^2 - 2*nu + 6 in (1, 2)", "2"]
+    assert points[1].defining == first
+    points = _breakpoints([poly(-2, 0, 1), first], Interval(F(1), F(2)))
+    assert str(points[1]) == "root of nu^2 - 2 in (1, 2)"

@@ -3,8 +3,11 @@ from fractions import Fraction as F
 
 import numpy as np
 
+from uclogic import roots
 from uclogic.polynomials import Polynomial
-from uclogic.roots import Interval, count_roots, isolate_roots, refine_isolating, sturm_sequence
+from uclogic.roots import (
+    Interval, count_roots, isolate_roots, refine_isolating, root_bound, sturm_sequence,
+)
 
 
 def poly(*coeffs):
@@ -147,7 +150,7 @@ def test_isolation_is_sound_and_complete():
 def _with_rational_roots(rng):
     """Random factors times rational roots, some repeated and some on the
     ends of the box or on bisection midpoints, so that isolation deflates
-    them and shrinks isolators off them."""
+    them and splits pieces off them."""
     p = Polynomial([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
                    + [1])
     for _ in range(rng.randint(1, 4)):
@@ -177,3 +180,84 @@ def test_isolate_roots_needs_no_gcd(monkeypatch):
             else:
                 assert sf.sign_at(iv.lo) != 0 and sf.sign_at(iv.hi) != 0
                 assert count_roots(sf, iv) == 1
+
+
+# The earlier isolation, kept as an oracle: bisection that takes every piece
+# with Descartes' bound 1 as an isolator, followed by a pass that shrinks an
+# isolator until neither end is a root.
+def _reference_isolate_open(f, a, b):
+    out = []
+    todo = [(f, a, b)]
+    while todo:
+        f, a, b = todo.pop()
+        n = roots._variations(f)
+        if n == 0:
+            continue
+        if n == 1:
+            out.append(Interval(a, b, lo_open=True, hi_open=True))
+            continue
+        m = (a + b) / 2
+        d = len(f) - 1
+        left = [c << (d - k) for k, c in enumerate(f)]
+        right = roots.taylor_shift(left)
+        if right[0] == 0:
+            out.append(Interval.point(m))
+            if d == 1:
+                continue
+            left, right = roots._deflate(left, F(1)), right[1:]
+        todo.append((right, m, b))
+        todo.append((left, a, m))
+    return out
+
+
+def _reference_shrink_off_root_endpoints(q, iv):
+    while not iv.is_point and (q.sign_at(iv.lo) == 0 or q.sign_at(iv.hi) == 0):
+        m = iv.midpoint
+        sign = q.sign_at(m)
+        if sign == 0:
+            return Interval.point(m)
+        if (q.sign_at(iv.lo) or q.derivative().sign_at(iv.lo)) != sign:
+            iv = Interval(iv.lo, m, lo_open=True, hi_open=True)
+        else:
+            iv = Interval(m, iv.hi, lo_open=True, hi_open=True)
+    return iv
+
+
+def _reference_isolate_roots(p, iv):
+    nums, ends = roots._deflate_ends(p.integer_form[0], iv)
+    out = [Interval.point(x) for x in ends if iv.contains(x)]
+    if len(nums) > 1 and not iv.is_point:
+        sq = p.square_free()
+        nums, _ = roots._deflate_ends(sq.integer_form[0], iv)
+        if len(nums) > 1:
+            f = roots._unit_form(nums, iv, len(nums) - 1)
+            out += [_reference_shrink_off_root_endpoints(sq, r)
+                    for r in _reference_isolate_open(f, iv.lo, iv.hi)]
+    return sorted(out, key=lambda r: r.lo)
+
+
+def test_isolators_match_the_shrink_pass_reference():
+    rng = random.Random(23)
+    boxes = [
+        Interval(F(1, 2), F(1), lo_open=True),
+        Interval(F(-2), F(2)),
+        Interval(F(0), F(2), lo_open=True, hi_open=True),
+        Interval(F(-2), F(3, 2), hi_open=True),
+    ]
+    shrunk = 0
+    for _ in range(150):
+        p = _with_rational_roots(rng)
+        for box in boxes:
+            ivs = isolate_roots(p, box)
+            assert ivs == _reference_isolate_roots(p, box), (p, box)
+            assert count_roots(p, box) == len(ivs)
+            bound = root_bound(p, box)
+            assert bound >= len(ivs) and (bound > 1 or bound == len(ivs))
+            sq = p.square_free()
+            nums, _ = roots._deflate_ends(sq.integer_form[0], box)
+            if len(nums) > 1:
+                f = roots._unit_form(nums, box, len(nums) - 1)
+                shrunk += sum(
+                    r != _reference_shrink_off_root_endpoints(sq, r)
+                    for r in _reference_isolate_open(f, box.lo, box.hi))
+    assert shrunk > 0  # the cases reach isolators with a root on an end
