@@ -4,29 +4,34 @@ Exit codes: 0 affirmative verdict, 1 negative verdict, 2 usage, parse or
 other input error, 3 resource guard (the gate or the variable limit).  With
 --json a single object is written to stdout, the same bytes for the same
 arguments; rationals render exactly as "p/q", decimals only as annotations
-at the configured eps.
+at the configured eps.  `outcomes` writes each of its 2^m rows as it is
+made, so its memory does not grow with the gate count.  Every check runs
+before the first byte is written, and a reader that closes the pipe early
+ends the run quietly, with the command's exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Optional
+from math import comb
+from typing import Any, Iterable, Iterator, Optional
 
 from . import algorithms
 from .algebraic import AlgebraicNumber
 from .errors import ParseError, ResourceLimitError, UCLError
-from .formulas import fau, format_cformula, parse_cformula, variables
+from .formulas import format_cformula, parse_cformula, variables
 from .polynomials import Polynomial, format_polynomial
 from .roots import Interval
 from .semantics import (
     DEFAULT_MAX_GATES,
     Interpretation,
     check_valuation,
-    outcomes,
+    outcome_parts,
     parse_ambition,
     success_polynomial,
 )
@@ -103,9 +108,22 @@ class _Runner:
     def formula(self):
         return parse_cformula(self.args.formula)
 
-    def run(self) -> tuple[int, int, dict[str, Any], list[str]]:
-        """Returns (exit_code, verdict, payload, human lines)."""
-        return getattr(self, "cmd_" + self.args.command.replace("-", "_"))()
+    def run(self) -> tuple[int, Iterable[str]]:
+        """(exit code, the output as text chunks).  Every check has run when
+        this returns, so an error leaves stdout empty."""
+        if self.args.command == "outcomes":
+            return self.cmd_outcomes()
+        # every other command gives (exit code, verdict, payload, lines)
+        code, verdict, payload, lines = getattr(
+            self, "cmd_" + self.args.command.replace("-", "_"))()
+        if self.args.json:
+            return code, [json.dumps({
+                "command": self.args.command,
+                "verdict": verdict,
+                "payload": payload,
+                "eps": str(self.eps),
+            }) + "\n"]
+        return code, ["\n".join(lines) + "\n"]
 
     def cmd_entails(self):
         psi = self.formula()
@@ -238,28 +256,53 @@ class _Runner:
         return (EXIT_YES if verdict else EXIT_NO, int(verdict), payload, lines)
 
     def cmd_outcomes(self):
-        rows = []
-        lines = ["pattern | outcome | probability"]
-        # rows with the same count of correct gates share one probability,
-        # kept as [probability, its text, rows]: formatted and summed once
-        shared: dict[int, list] = {}
-        psi = self.formula()
-        m = len(fau(psi))
-        width = f"0{m}b"
-        # outcomes come in pattern order: row i's pattern is i in m binary digits
-        for i, o in enumerate(outcomes(psi, max_gates=self.max_gates)):
-            bits = format(i, width) if m else ""
-            correct = o.pattern.count(False)
-            if correct not in shared:
-                shared[correct] = [o.probability, format_polynomial(o.probability), 0]
-            entry = shared[correct]
-            entry[2] += 1
-            rows.append({"pattern": bits, "formula": o.text, "probability": entry[1]})
-            lines.append(f"{bits or '-':>7} | {o.text} | {entry[1]}")
-        total = sum((p.scale(n) for p, _, n in shared.values()), Polynomial())
-        lines.append(f"total probability: {format_polynomial(total)}")
-        payload = {"rows": rows, "total": format_polynomial(total)}
-        return EXIT_YES, 1, payload, lines
+        """The 2^m rows, each one fill of a per-formula row template, as
+        text chunks made one row at a time; the checks run before this
+        returns."""
+        template, slots, by_correct = outcome_parts(
+            self.formula(), max_gates=self.max_gates)
+        m = len(slots)
+        total = format_polynomial(sum(
+            (p.scale(comb(m, l)) for l, p in enumerate(by_correct)),
+            Polynomial()))
+        probabilities = [format_polynomial(p) for p in by_correct]
+        if self.args.json:
+            # JSON escapes character by character and leaves "%" alone, so
+            # the escaped pieces fill into the escaped whole
+            row = (f'{{"pattern": "%s", "formula": "{_escape(template)}", '
+                   f'"probability": "%s"}}')
+            slots = [(_escape(a), _escape(b)) for a, b in slots]
+            probabilities = [_escape(p) for p in probabilities]
+            head = '{"command": "outcomes", "verdict": 1, "payload": {"rows": ['
+            sep, empty = ", ", ""
+            tail = (f'], "total": {json.dumps(total)}}}, '
+                    f'"eps": {json.dumps(str(self.eps))}}}\n')
+        else:
+            row = f"%7s | {template} | %s"
+            head = "pattern | outcome | probability\n"
+            sep, empty = "\n", "-"
+            tail = f"\ntotal probability: {total}\n"
+        return EXIT_YES, itertools.chain(
+            _rows(head + row, sep + row, slots, probabilities, empty), [tail])
+
+
+def _escape(text: str) -> str:
+    """text as inside a JSON string, the bytes json.dumps writes for it."""
+    return json.dumps(text)[1:-1]
+
+
+def _rows(
+    first: str, row: str, slots: list[tuple[str, str]],
+    probabilities: list[str], empty: str,
+) -> Iterator[str]:
+    """Row i fills `first` (i = 0) or `row` with its pattern, i in m binary
+    digits (`empty` when m = 0), its slot names and the probability of its
+    count of correct gates, the count of '0's."""
+    width = f"0{len(slots)}b"
+    for i, names in enumerate(itertools.product(*slots)):
+        bits = format(i, width) if slots else empty
+        yield first % (bits, *names, probabilities[bits.count("0")])
+        first = row
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,26 +373,26 @@ def main(argv: Optional[list[str]] = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        code, verdict, payload, lines = _Runner(args).run()
+        code, chunks = _Runner(args).run()
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (UCLError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "command": args.command,
-                    "verdict": verdict,
-                    "payload": payload,
-                    "eps": str(args.eps),
-                }
-            )
-        )
-    else:
-        print("\n".join(lines))
+    if sys.stdout is None:  # started with stdout closed, as print allows
+        return code
+    try:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone, as `ucl outcomes | head` does: the rest of
+        # the output has no reader.  Stdout now points at devnull, so the
+        # flush at interpreter exit finds no closed pipe either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -61,10 +61,21 @@ class SignCondition:
 
 
 def _sorted_unique(nums: list[AlgebraicNumber]) -> list[AlgebraicNumber]:
-    """nums sorted, each value once: the first of equal numbers is kept."""
-    out: list[AlgebraicNumber] = []
-    for a in sorted(nums, key=cmp_to_key(AlgebraicNumber.compare)):
-        if not out or a.compare(out[-1]) != 0:
+    """nums sorted, each value once: the first of equal numbers is kept.
+    The sort records its verdict on each pair it compares, so dropping an
+    equal neighbour compares only a pair the sort never compared."""
+    verdicts: dict[frozenset[int], int] = {}  # by the ids of the pair
+
+    def compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
+        verdicts[frozenset((id(a), id(b)))] = c = a.compare(b)
+        return c
+
+    ordered = sorted(nums, key=cmp_to_key(compare))
+    out = ordered[:1]
+    # a equals the last number kept iff it equals its neighbour in ordered
+    for prev, a in zip(ordered, ordered[1:]):
+        c = verdicts.get(frozenset((id(prev), id(a))))
+        if (a.compare(prev) if c is None else c) != 0:
             out.append(a)
     return out
 

@@ -13,10 +13,12 @@ valuation, a gate-free subtree is one truth mask computed bit-parallel, and
 a gate convolves each non-empty intersection of its arguments' classes
 once, merging equal count vectors at its output.  `success_polynomial` is
 the same pass over a universe of one valuation.  Outcomes
-are enumerated (2^m of them) only where they are the output: `outcomes` and
-o-formulas.  An `Outcome` carries its misfire `pattern`, its printed `text`
-(one fill of the formula's `outcome_template`) and its `probability`; its
-`formula` tree is parsed from the text only when asked for.
+are enumerated (2^m of them) only where they are the output: `ucl outcomes`
+and o-formulas.  Both start from `outcome_parts`: the formula's
+`outcome_template` and the m+1 probabilities, one per count of correct
+gates.  An `Outcome` carries its misfire `pattern`, its printed `text` (one
+fill of the template) and its `probability`; its `formula` tree is parsed
+from the text only when asked for.
 """
 
 from __future__ import annotations
@@ -83,16 +85,25 @@ def _gate_count(psi: CFormula, max_gates: int) -> int:
     return m
 
 
+def outcome_parts(
+    psi: CFormula, max_gates: int = DEFAULT_MAX_GATES
+) -> tuple[str, list[tuple[str, str]], list[Polynomial]]:
+    """(template, slots, by_correct): the `outcome_template` of psi and, per
+    count l of correct gates, the probability by_correct[l] shared by every
+    pattern with l correct gates.  psi is refused above max_gates before any
+    of them is made."""
+    m = _gate_count(psi, max_gates)
+    template, slots = outcome_template(psi)
+    return template, slots, [_expand([0] * l + [1] + [0] * (m - l))
+                             for l in range(m + 1)]
+
+
 def outcomes(
     psi: CFormula, max_gates: int = DEFAULT_MAX_GATES
 ) -> Iterator[Outcome]:
     """All 2^m outcomes in pattern-lexicographic order (False < True)."""
-    m = _gate_count(psi, max_gates)
-    # a pattern's probability depends only on its count l of correct gates
-    by_correct = [pattern_probability((False,) * l + (True,) * (m - l))
-                  for l in range(m + 1)]
-    template, slots = outcome_template(psi)
-    for bits, names in zip(itertools.product((False, True), repeat=m),
+    template, slots, by_correct = outcome_parts(psi, max_gates)
+    for bits, names in zip(itertools.product((False, True), repeat=len(slots)),
                            itertools.product(*slots)):
         yield Outcome(bits, template % names, by_correct[bits.count(False)])
 

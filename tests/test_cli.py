@@ -1,18 +1,26 @@
 import gc
+import io
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+import tracemalloc
+from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+import uclogic
 from formula_gen import random_cformula
 from uclogic.algorithms import MAX_EPS_BITS, MAX_GRID_CELLS
 from uclogic.cli import main
 from uclogic.errors import UCLError
 from uclogic.formulas import (
-    MAX_DEPTH, apply_pattern, fau, format_cformula, variables,
+    MAX_DEPTH, apply_pattern, fau, format_cformula, parse_cformula, variables,
 )
 from uclogic.polynomials import Polynomial, format_polynomial, parse_polynomial
 from uclogic.semantics import (
@@ -178,6 +186,129 @@ def test_outcomes_match_per_pattern_route(capsys):
             "eps": "1/1000000",
         }) + "\n"
     assert {0, 8} <= sizes and len(sizes) >= 6
+
+
+def _outcomes_outputs(psi):
+    """The text and the --json output of `outcomes` from the per-pattern
+    route."""
+    rows, total = _outcomes_by_pattern(psi)
+    lines = [f"{r['pattern'] or '-':>7} | {r['formula']} | {r['probability']}"
+             for r in rows]
+    text = "\n".join(["pattern | outcome | probability", *lines,
+                      f"total probability: {total}"]) + "\n"
+    doc = json.dumps({
+        "command": "outcomes", "verdict": 1,
+        "payload": {"rows": rows, "total": total},
+        "eps": "1/1000000",
+    }) + "\n"
+    return text, doc
+
+
+def _not_chain(m: int) -> str:
+    psi = "x"
+    for _ in range(m):
+        psi = f"(not? {psi})"
+    return psi
+
+
+def test_outcomes_bytes_beyond_eight_gates(capsys):
+    """No gate (the pattern is "" and the text row shows '-'), constants,
+    and twelve gates of mixed connectives, in both modes."""
+    twelve = "x"
+    for i, conn in enumerate(["and?", "or?", "xor?", "nand?", "imp?", "iff?"] * 2):
+        twelve = f"({conn} {twelve} y{i % 3})"
+    for text in ["(iff x (or y T))", "(and? T (or? x F))",
+                 "(maj3? T F (not? x))", twelve]:
+        psi = parse_cformula(text)
+        expected_text, expected_doc = _outcomes_outputs(psi)
+        assert run(capsys, "outcomes", "-f", text) == (0, expected_text, "")
+        assert run(capsys, "outcomes", "-f", text, "--json") == (
+            0, expected_doc, "")
+    assert len(fau(parse_cformula(twelve))) == 12
+    _, out, _ = run(capsys, "outcomes", "-f", "(iff x (or y T))")
+    assert out.splitlines()[1] == "      - | (iff x (or y T)) | 1"
+
+
+def test_outcomes_total_is_the_sum_of_the_rows(capsys, monkeypatch):
+    for m in range(13):
+        code, doc = run_json(capsys, "outcomes", "-f", _not_chain(m))
+        payload = doc["payload"]
+        assert code == 0 and len(payload["rows"]) == 2 ** m
+        total = Polynomial()
+        for text, n in Counter(r["probability"] for r in payload["rows"]).items():
+            total = total + parse_polynomial(text).scale(n)
+        assert payload["total"] == format_polynomial(total) == "1", m
+    # the total is summed from the probabilities, not written as "1"
+    import uclogic.cli
+    from uclogic.semantics import outcome_parts
+
+    def doubled(*args, **kwargs):
+        template, slots, by_correct = outcome_parts(*args, **kwargs)
+        return template, slots, [p.scale(2) for p in by_correct]
+
+    monkeypatch.setattr(uclogic.cli, "outcome_parts", doubled)
+    code, doc = run_json(capsys, "outcomes", "-f", _not_chain(3))
+    assert doc["payload"]["total"] == "2"
+
+
+class _Sink(io.TextIOBase):
+    """A stdout that counts its writes and keeps nothing."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return len(text)
+
+
+def test_outcomes_memory_stays_flat(capsys):
+    """The 2^16 rows are written as they are made: neither the rows nor the
+    JSON document are held."""
+    main(["outcomes", "-f", _not_chain(1), "--json"])  # builds the parser
+    capsys.readouterr()
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            code = main(["outcomes", "-f", _not_chain(16), "--json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * 2 ** 20, peak
+    assert sink.writes > 1
+
+
+def test_closed_pipe_ends_quietly(monkeypatch):
+    """A reader that stops early, as `ucl outcomes | head -2` does, ends the
+    run with the command's exit code and no traceback; so does a stdout
+    closed from the start."""
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["outcomes", "-f", "(or? x y)"]) == 0
+    assert main(["sat", "-f", "(and x (not x))"]) == 1
+    monkeypatch.undo()
+    src = str(Path(uclogic.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    for extra in ([], ["--json"]):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "uclogic.cli", "outcomes",
+             "-f", _not_chain(14), *extra],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            first = proc.stdout.readline() if not extra else proc.stdout.read(64)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert first.startswith(b"pattern" if not extra else b'{"command"')
+        assert b"Traceback" not in err, err.decode()
+        assert code == 0, (extra, err.decode())
 
 
 def test_parse_error_exits_two(capsys):

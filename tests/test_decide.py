@@ -2,6 +2,7 @@ import inspect
 import itertools
 import random
 from fractions import Fraction as F
+from functools import cmp_to_key
 
 import numpy as np
 import pytest
@@ -582,3 +583,39 @@ def test_breakpoints_keep_the_first_of_equal_roots():
     assert points[1].defining == first
     points = _breakpoints([poly(-2, 0, 1), first], Interval(F(1), F(2)))
     assert str(points[1]) == "root of nu^2 - 2 in (1, 2)"
+
+
+def test_sorted_unique_compares_no_pair_twice(monkeypatch):
+    """Dropping an equal neighbour reuses the sort's verdict: no compare call
+    beyond the sort's own, and the first of equal numbers is kept."""
+    iv = Interval(F(0), F(3))
+    roots = [a for p in (poly(-2, 0, 1) * poly(-3, 1), poly(-2, 0, 1),
+                         poly(-3, 0, 1), poly(3, -4, 1), poly(-1, 1))
+             for a in _roots_in(p, iv)]
+    calls = []
+    original = AlgebraicNumber.compare
+
+    def counted(self, other):
+        calls.append(None)
+        return original(self, other)
+
+    rng = random.Random(5)
+    for _ in range(20):
+        nums = roots + [AlgebraicNumber.from_rational(F(rng.randint(0, 6), 2))
+                        for _ in range(4)]
+        rng.shuffle(nums)
+        first = []
+        for a in nums:
+            if not any(original(a, b) == 0 for b in first):
+                first.append(a)
+        monkeypatch.setattr(AlgebraicNumber, "compare", counted)
+        calls.clear()
+        sorted(nums, key=cmp_to_key(AlgebraicNumber.compare))
+        by_sort = len(calls)
+        calls.clear()
+        out = _sorted_unique(nums)
+        monkeypatch.undo()
+        assert len(calls) == by_sort
+        assert len(out) == len(first) < len(nums)
+        assert all(original(a, b) < 0 for a, b in zip(out, out[1:]))
+        assert {id(a) for a in out} == {id(a) for a in first}
