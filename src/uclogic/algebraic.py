@@ -31,7 +31,7 @@ class AlgebraicNumber:
     def __init__(self, defining: Polynomial, interval: Interval):
         # a linear defining polynomial pins the value down exactly
         if defining.degree == 1 and not interval.is_point:
-            root = -defining.coeffs[0] / defining.coeffs[1]
+            root = Fraction(-defining.nums[0], defining.nums[1])
             interval = Interval.point(root)
         self.defining = defining
         self.interval = interval
@@ -169,9 +169,9 @@ def scalar_resultant(f: Polynomial, g: Polynomial) -> Fraction:
             return Fraction(0)
         if f.degree * g.degree % 2:
             res = -res
-        res *= g.coeffs[-1] ** (f.degree - r.degree)
+        res *= Fraction(g.nums[-1], g.den) ** (f.degree - r.degree)
         f, g = g, r
-    return res * g.coeffs[0] ** f.degree
+    return res * Fraction(g.nums[0], g.den) ** f.degree
 
 
 def _lagrange(points: list[tuple[Fraction, Fraction]]) -> Polynomial:

@@ -75,8 +75,8 @@ def _least(polys: Iterable[Polynomial]) -> list[Polynomial]:
 
     A polynomial's Bernstein coefficients on an interval enclose its values
     there, so when those of p - q on [1/2, 1] are all >= 0, p >= q on the
-    closed interval.  At the common degree d, with p's integer form
-    n(x) / L, `roots.bernstein` gives them as the integers
+    closed interval.  At the common degree d, with p = n(x) / L its
+    (nums, den), `roots.bernstein` gives them as the integers
     c_i = 2^d * L * C(d, i) * b_i, and the test is
     c(p) * L(q) >= c(q) * L(p) elementwise.  A dominating q has
     a smaller sum c / L and dominance is transitive, so deciding candidates
@@ -85,11 +85,7 @@ def _least(polys: Iterable[Polynomial]) -> list[Polynomial]:
     """
     distinct = list(dict.fromkeys(polys))
     d = max([0] + [p.degree for p in distinct])
-    bern: list[tuple[list[int], int]] = []
-    for p in distinct:
-        nums, den = p.integer_form
-        bern.append((bernstein(nums, _HALF_OPEN_UNIT, d), den))
-    # indices, not polynomials: hashing a polynomial hashes every Fraction
+    bern = [(bernstein(p.nums, _HALF_OPEN_UNIT, d), p.den) for p in distinct]
     kept: list[int] = []
     for i in sorted(range(len(distinct)),
                     key=lambda i: Fraction(sum(bern[i][0]), bern[i][1])):

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 affirmative verdict, 1 negative verdict, 2 usage, parse or
-other input error, 3 resource guard (the gate or the variable limit).  With
+Exit codes: 0 affirmative verdict, 1 negative verdict, 2 usage, parse,
+input or output error, 3 resource guard (the gate or the variable limit).  With
 --json a single object is written to stdout, the same bytes for the same
 arguments; rationals render exactly as "p/q", decimals only as annotations
 at the configured eps.  `outcomes` writes each of its 2^m rows as it is
@@ -386,13 +386,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         for chunk in chunks:
             sys.stdout.write(chunk)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader has gone, as `ucl outcomes | head` does: the rest of
-        # the output has no reader.  Stdout now points at devnull, so the
-        # flush at interpreter exit finds no closed pipe either.
+    except OSError as exc:
+        # A closed pipe (`ucl outcomes | head`) leaves the rest of the output
+        # no reader; any other error, a full disk say, is reported.  Stdout
+        # now points at devnull, so the flush at interpreter exit cannot fail.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return code
 
 

@@ -1,9 +1,11 @@
-"""Dense univariate polynomials over exact rationals.
+"""Dense univariate polynomials over exact rationals, in one integer form.
 
-Coefficients are stored constant-term first, with no trailing zeros.  The
-variable prints as ``nu``.  All arithmetic is exact; evaluation at a
-``Fraction`` returns a ``Fraction``, and runs in integers on the
-coefficients' numerators over their common denominator (`horner`).
+A polynomial sum_i c_i nu^i is held as integer numerators nums[i] = c_i den,
+constant term first and with no trailing zero, over one denominator den > 0
+that shares no factor with all of them, so equal polynomials have equal
+(nums, den).  Arithmetic, evaluation (`horner`) and signs run in integers
+on this form; `coeffs` makes Fractions for printing and division over Q.
+The variable prints as ``nu``.
 
 The square-free part is decided modulo the prime 2^61 - 1 first: when the
 prime does not divide the leading numerator and gcd(p, p') is a constant
@@ -70,73 +72,74 @@ def _coprime_to_derivative(nums: tuple[int, ...]) -> bool:
 
 
 class Polynomial:
-    # Memos filled on first use: the integer form (by integer_form, for every
-    # evaluation), the square-free part and the hash.  A square-free
-    # polynomial's memo is True rather than itself, so that no polynomial
-    # refers to itself and none is left to the cyclic garbage collector.
-    # Equality and hashing look at coeffs only.
-    __slots__ = ("coeffs", "_integers", "_square_free", "_hash")
+    # The one stored form (see the module docstring): equality and the hash
+    # look at (nums, den) only.  Memos filled on first use: the square-free
+    # part and the hash.  A square-free polynomial's memo is True rather than
+    # itself, so that no polynomial refers to itself and none is left to the
+    # cyclic garbage collector.
+    __slots__ = ("nums", "den", "_square_free", "_hash")
 
-    def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-        self._integers: "tuple[tuple[int, ...], int] | None" = None
-        self._square_free: "Polynomial | bool | None" = None
-        self._hash: "int | None" = None
+    def __new__(cls, coeffs: Iterable[Rat] = ()) -> "Polynomial":
+        cs = list(coeffs)
+        den = math.lcm(*(c.denominator for c in cs))
+        return _over([c.numerator * (den // c.denominator) for c in cs], den)
 
     @classmethod
     def constant(cls, c: Rat) -> "Polynomial":
         return cls([c])
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, made anew on every read."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return (isinstance(other, Polynomial) and self.nums == other.nums
+                and self.den == other.den)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self.coeffs)
+            self._hash = hash((self.nums, self.den))
         return self._hash
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
+        den = math.lcm(self.den, other.den)
+        a, b = (p.nums if p.den == den else [n * (den // p.den) for n in p.nums]
+                for p in (self, other))
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Polynomial(out)
+        return _over(out, den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
+        return _over([-n for n in self.nums], self.den)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero or other.is_zero:
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.nums):
                     out[i + j] += a * b
-        return Polynomial(out)
+        return _over(out, self.den * other.den)
 
     def scale(self, k: Rat) -> "Polynomial":
-        k = Fraction(k)
-        return Polynomial([c * k for c in self.coeffs])
+        return _over([n * k.numerator for n in self.nums], self.den * k.denominator)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -150,32 +153,22 @@ class Polynomial:
             n >>= 1
         return result
 
-    @property
-    def integer_form(self) -> tuple[tuple[int, ...], int]:
-        """(n, L) with p = sum_i n[i] nu^i / L: the coefficients' numerators
-        over their least common denominator L, constant term first."""
-        if self._integers is None:
-            den = math.lcm(*(c.denominator for c in self.coeffs))
-            nums = tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
-            self._integers = nums, den
-        return self._integers
-
     def sign_at(self, x: Rat) -> int:
         """Sign of p(x) at a rational x, in integers."""
-        acc, _ = horner(self.integer_form[0], x)
+        acc, _ = horner(self.nums, x)
         return (acc > 0) - (acc < 0)
 
     def __call__(self, x: Rat) -> Fraction:
-        # p(x) = h * b / (L * b^(d+1)) for (h, b^(d+1)) = horner(n, x)
-        acc, b_power = horner(self.integer_form[0], x)
-        return Fraction(acc * x.denominator, self.integer_form[1] * b_power)
+        # p(x) = h * b / (den * b^(d+1)) for (h, b^(d+1)) = horner(nums, x)
+        acc, b_power = horner(self.nums, x)
+        return Fraction(acc * x.denominator, self.den * b_power)
 
     def eval_interval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
         """Enclosure of the image of [lo, hi] (interval Horner, exact ends),
-        on the integer form with both ends over one denominator b."""
+        in integers with both ends over one denominator b."""
         b = math.lcm(lo.denominator, hi.denominator)
         ends = ((lo * b).numerator, (hi * b).numerator)
-        nums, den = self.integer_form
+        nums, den = self.nums, self.den
         alo = ahi = 0
         b_power = 1
         for n in reversed(nums):
@@ -185,22 +178,22 @@ class Polynomial:
         return Fraction(alo * b, den * b_power), Fraction(ahi * b, den * b_power)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _over([i * n for i, n in enumerate(self.nums)][1:], self.den)
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        rem, divisor = list(self.coeffs), other.coeffs
+        dq = len(rem) - len(divisor)
         if dq < 0:
             return Polynomial(), self
         quot = [Fraction(0)] * (dq + 1)
-        lead = other.coeffs[-1]
+        lead = divisor[-1]
         for i in range(dq, -1, -1):
             c = rem[i + other.degree] / lead
             quot[i] = c
             if c:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(divisor):
                     rem[i + j] -= c * b
         return Polynomial(quot), Polynomial(rem[: other.degree])
 
@@ -216,9 +209,7 @@ class Polynomial:
         return q
 
     def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        return self.scale(1 / self.coeffs[-1])
+        return self.scale(Fraction(self.den, self.nums[-1])) if self.nums else self
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         a, b = self, other
@@ -234,7 +225,7 @@ class Polynomial:
         p itself when g is a constant."""
         if self._square_free is None:
             q = self
-            if self.degree >= 1 and not _coprime_to_derivative(self.integer_form[0]):
+            if self.degree >= 1 and not _coprime_to_derivative(self.nums):
                 from .roots import sturm_sequence  # roots imports this module
                 g = sturm_sequence(self)[-1]
                 if g.degree >= 1:
@@ -247,6 +238,18 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)!r})"
 
 
+def _over(nums: list[int], den: int) -> Polynomial:
+    """sum_i nums[i] nu^i / den, for den > 0, in the stored form."""
+    while nums and nums[-1] == 0:
+        nums.pop()
+    if den != 1 and (g := math.gcd(den, *nums)) != 1:
+        nums, den = [n // g for n in nums], den // g
+    p = object.__new__(Polynomial)
+    p.nums, p.den = tuple(nums), den
+    p._square_free = p._hash = None  # the memos, not yet filled
+    return p
+
+
 ZERO = Polynomial()
 ONE = Polynomial([1])
 NU = Polynomial([0, 1])
@@ -257,8 +260,7 @@ def format_polynomial(p: Polynomial, var: str = "nu") -> str:
     if p.is_zero:
         return "0"
     parts: list[str] = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeffs[k]
+    for k, c in reversed(list(enumerate(p.coeffs))):
         if c == 0:
             continue
         sign = "-" if c < 0 else "+"
@@ -427,12 +429,11 @@ class _PolyParser:
                 )
             degree = _degree(base)
             self.check_degree(degree * n, tpos)
-            # base = B / L with L the lcm of its denominators, so base^n =
-            # B^n / L^n, and a coefficient of B^n sums at most t^n products
+            # base = B / L for integers B over one denominator L, so base^n
+            # = B^n / L^n, and a coefficient of B^n sums at most t^n products
             # of n of the t = degree + 1 integer coefficients of B
-            lcm = math.lcm(*(c.denominator for c in base.values()))
-            size = max([lcm] + [abs(c.numerator) * (lcm // c.denominator)
-                                for c in base.values()])
+            b = Polynomial(base.values())
+            size = max([b.den, *map(abs, b.nums)])
             bits = n * (size.bit_length() + (degree + 1).bit_length())
             self.check_bits(bits, tpos)
             return _pow(base, n)

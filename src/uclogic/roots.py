@@ -171,7 +171,7 @@ def root_bound(p: Polynomial, iv: Interval) -> int:
     if p has no root in iv, and 1 only if p has exactly one."""
     if p.is_zero:
         raise ValueError("root_bound of the zero polynomial")
-    nums, ends = _deflate_ends(p.integer_form[0], iv)
+    nums, ends = _deflate_ends(p.nums, iv)
     bound = sum(1 for x in ends if iv.contains(x))
     if len(nums) < 2 or iv.is_point:
         return bound
@@ -194,7 +194,7 @@ def isolate_roots(p: Polynomial, iv: Interval) -> list[Interval]:
     """
     if p.is_zero:
         raise ValueError("isolate_roots of the zero polynomial")
-    nums, ends = _deflate_ends(p.integer_form[0], iv)
+    nums, ends = _deflate_ends(p.nums, iv)
     out = [Interval.point(x) for x in ends if iv.contains(x)]
     if len(nums) > 1 and not iv.is_point:
         f = _unit_form(nums, iv, len(nums) - 1)
@@ -202,7 +202,7 @@ def isolate_roots(p: Polynomial, iv: Interval) -> list[Interval]:
         if n:
             sq = p.square_free()
             if sq is not p:
-                nums, _ = _deflate_ends(sq.integer_form[0], iv)
+                nums, _ = _deflate_ends(sq.nums, iv)
                 f = _unit_form(nums, iv, len(nums) - 1)
                 n = _variations(f)
             out += _isolate_open(f, n, iv.lo, iv.hi, set(ends))

@@ -280,6 +280,16 @@ def test_outcomes_memory_stays_flat(capsys):
     assert sink.writes > 1
 
 
+def _child_env():
+    """The environment of a `python -m uclogic.cli` child that imports
+    this uclogic."""
+    src = str(Path(uclogic.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def test_closed_pipe_ends_quietly(monkeypatch):
     """A reader that stops early, as `ucl outcomes | head -2` does, ends the
     run with the command's exit code and no traceback; so does a stdout
@@ -288,15 +298,11 @@ def test_closed_pipe_ends_quietly(monkeypatch):
     assert main(["outcomes", "-f", "(or? x y)"]) == 0
     assert main(["sat", "-f", "(and x (not x))"]) == 1
     monkeypatch.undo()
-    src = str(Path(uclogic.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     for extra in ([], ["--json"]):
         proc = subprocess.Popen(
             [sys.executable, "-m", "uclogic.cli", "outcomes",
              "-f", _not_chain(14), *extra],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
         try:
             first = proc.stdout.readline() if not extra else proc.stdout.read(64)
             proc.stdout.close()
@@ -309,6 +315,24 @@ def test_closed_pipe_ends_quietly(monkeypatch):
         assert first.startswith(b"pattern" if not extra else b'{"command"')
         assert b"Traceback" not in err, err.decode()
         assert code == 0, (extra, err.decode())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_write_error_exits_two():
+    """Output to a full device ends in one error line and exit code 2, the
+    usage code, not in a traceback and exit code 1, the negative verdict."""
+    for argv in (["outcomes", "-f", "(or? x y)"],
+                 ["sat", "-f", "(or? x y)", "--json"]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "uclogic.cli", *argv], stdout=full,
+                stderr=subprocess.PIPE, env=_child_env(), timeout=60)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2, (argv, err)
+        assert "Traceback" not in err, err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            "error: cannot write output: "), err
 
 
 def test_parse_error_exits_two(capsys):

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import random
 import re
 import time
@@ -91,8 +92,10 @@ def test_memo_does_not_change_equality():
     fresh = Polynomial([F(1), F(-2), F(1)])
     assert filled == fresh and hash(filled) == hash(fresh)
     assert len({filled, fresh}) == 1
-    # the hash is kept after the first call and equals that of the coeffs
-    assert hash(filled) == hash(filled.coeffs) == hash(fresh)
+    # the hash is kept after the first call and equals that of an equal
+    # polynomial built another way
+    other = Polynomial([F(2), F(-4), F(2)]).scale(F(1, 2))
+    assert hash(filled) == hash(other) == hash(fresh) and filled == other
     assert filled.square_free() == fresh.square_free()
 
 
@@ -416,9 +419,107 @@ def test_filled_memos_leave_no_cycle():
         for coeffs in ([-2, 0, 1], [1, -2, 1], [F(1, 3), -1, 0, 2]):
             p = Polynomial(coeffs) * Polynomial([-1, 1])
             part = p.square_free()
-            hash(p), hash(part), p.integer_form, part.integer_form
+            hash(p), hash(part), p.nums, part.nums
             assert part.square_free() is part
             del p, part
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# --- the one stored form, against a reference on tuples of Fractions -------
+
+rationals = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=40),
+)
+coefficient_lists = st.lists(rationals, max_size=7)
+
+
+def _trim(cs):
+    cs = [F(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _trim(sum(c[i] for c in (a, b) if i < len(c)) for i in range(n))
+
+
+def _ref_mul(a, b):
+    out = [F(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_value(a, x):
+    return sum(c * x**i for i, c in enumerate(a))
+
+
+def _ref_format(a):
+    terms = []
+    for k in range(len(a) - 1, -1, -1):
+        if a[k]:
+            mono = {0: "", 1: "nu"}.get(k, f"nu^{k}")
+            mag = str(abs(a[k]))
+            body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
+            terms.append(("-" if a[k] < 0 else "+", body))
+    if not terms:
+        return "0"
+    (sign, body), *rest = terms
+    return ("-" if sign == "-" else "") + body + "".join(f" {s} {b}" for s, b in rest)
+
+
+def _canonical(p):
+    """The coefficients of p, after checking that p is in the one stored
+    form: integer numerators with no trailing zero over a positive
+    denominator, all of them with no common factor."""
+    assert type(p.den) is int and p.den > 0
+    assert type(p.nums) is tuple and all(type(n) is int for n in p.nums)
+    assert not p.nums or p.nums[-1] != 0
+    assert math.gcd(p.den, *p.nums) == 1
+    return p.coeffs
+
+
+@given(coefficient_lists, coefficient_lists, rationals, rationals)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_one_form_matches_the_fraction_reference(a, b, k, x):
+    p, q = Polynomial(a), Polynomial(b)
+    ra, rb = _trim(a), _trim(b)
+    assert _canonical(p) == ra and _canonical(q) == rb
+    assert _canonical(p + q) == _ref_add(ra, rb)
+    assert _canonical(p - q) == _ref_add(ra, [-c for c in rb])
+    assert _canonical(-p) == _trim(-c for c in ra)
+    assert _canonical(p * q) == _ref_mul(ra, rb)
+    assert _canonical(p.scale(k)) == _trim(c * k for c in ra)
+    assert _canonical(p.derivative()) == _trim([i * c for i, c in enumerate(ra)][1:])
+    value = _ref_value(ra, F(x))
+    assert p(x) == value and p.sign_at(x) == (value > 0) - (value < 0)
+    assert format_polynomial(p) == _ref_format(ra)
+    assert _canonical(parse_polynomial(format_polynomial(p))) == ra
+    if ra:
+        assert _canonical(p.monic()) == _trim(c / ra[-1] for c in ra)
+    if rb:
+        quo, rem = divmod(p, q)
+        assert _ref_add(_ref_mul(_canonical(quo), rb), _canonical(rem)) == ra
+        assert len(rem.coeffs) < len(rb)
+
+
+@given(coefficient_lists, coefficient_lists)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_equal_polynomials_built_apart_are_one(a, b):
+    p, q = Polynomial(a), Polynomial(b)
+    product = f"({format_polynomial(p)}) * ({format_polynomial(q)})"
+    for x, y in [
+        (p * q, q * p),
+        ((p + q) - q, p),
+        (p.scale(F(2, 3)).scale(F(3, 2)), p),
+        (parse_polynomial(product), p * q),
+        (Polynomial([F(c) for c in a] + [0, F(0)]), p),
+    ]:
+        _canonical(x)
+        assert x == y and hash(x) == hash(y) and (x.nums, x.den) == (y.nums, y.den)

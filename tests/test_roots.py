@@ -224,11 +224,11 @@ def _reference_shrink_off_root_endpoints(q, iv):
 
 
 def _reference_isolate_roots(p, iv):
-    nums, ends = roots._deflate_ends(p.integer_form[0], iv)
+    nums, ends = roots._deflate_ends(p.nums, iv)
     out = [Interval.point(x) for x in ends if iv.contains(x)]
     if len(nums) > 1 and not iv.is_point:
         sq = p.square_free()
-        nums, _ = roots._deflate_ends(sq.integer_form[0], iv)
+        nums, _ = roots._deflate_ends(sq.nums, iv)
         if len(nums) > 1:
             f = roots._unit_form(nums, iv, len(nums) - 1)
             out += [_reference_shrink_off_root_endpoints(sq, r)
@@ -254,7 +254,7 @@ def test_isolators_match_the_shrink_pass_reference():
             bound = root_bound(p, box)
             assert bound >= len(ivs) and (bound > 1 or bound == len(ivs))
             sq = p.square_free()
-            nums, _ = roots._deflate_ends(sq.integer_form[0], box)
+            nums, _ = roots._deflate_ends(sq.nums, box)
             if len(nums) > 1:
                 f = roots._unit_form(nums, box, len(nums) - 1)
                 shrunk += sum(
