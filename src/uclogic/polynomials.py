@@ -487,24 +487,31 @@ def parse_polynomial(text: str, var: str = "nu") -> Polynomial:
 
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """Smallest-denominator rational strictly between lo and hi.
+    """Smallest-denominator rational strictly between lo and hi, lo < hi.
 
-    Stern-Brocot / continued-fraction descent; lo < hi required.
+    Continued-fraction descent on integer numerators and denominators:
+    while no integer lies strictly inside (a/b, c/d), both ends share the
+    partial quotient q = a // b, which joins the convergent p/r, and the
+    interval maps onto (d/(c - q d), b/(a - q b)) by x -> 1/(x - q).
     """
     if not lo < hi:
         raise ValueError("empty open interval")
     if lo < 0 < hi:
         return Fraction(0)
+    sign = 1
     if hi <= 0:
-        return -simplest_between(-hi, -lo)
-    n = lo.numerator // lo.denominator
-    if lo == n:
-        if hi > n + 1:
-            return Fraction(n + 1)
-        # (n, hi): smallest m with n + 1/m inside
-        inv = 1 / (hi - n)
-        m = inv.numerator // inv.denominator + 1
-        return n + Fraction(1, m)
-    if hi > n + 1:
-        return Fraction(n + 1)
-    return n + 1 / simplest_between(1 / (hi - n), 1 / (lo - n))
+        sign, lo, hi = -1, -hi, -lo
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    p, p0, r, r0 = 1, 0, 0, 1  # the convergents so far, last and one before
+    while True:
+        q, ra = divmod(a, b)  # lo - q = ra/b
+        rc = c - q * d  # hi - q = rc/d > 0
+        if rc > d:  # q + 1 < hi: the last partial quotient
+            q += 1
+            break
+        p, p0, r, r0 = q * p + p0, p, q * r + r0, r
+        if not ra:  # lo = q: the least 1/k below hi - q ends it
+            q = d // rc + 1
+            break
+        a, b, c, d = d, rc, b, ra
+    return Fraction(sign * (q * p + p0), q * r + r0)

@@ -12,13 +12,24 @@ valuations (`_classes`): bit i of a mask stands for the i-th canonical
 valuation, a gate-free subtree is one truth mask computed bit-parallel, and
 a gate convolves each non-empty intersection of its arguments' classes
 once, merging equal count vectors at its output.  `success_polynomial` is
-the same pass over a universe of one valuation.  Outcomes
-are enumerated (2^m of them) only where they are the output: `ucl outcomes`
-and o-formulas.  Both start from `outcome_parts`: the formula's
-`outcome_template` and the m+1 probabilities, one per count of correct
-gates.  An `Outcome` carries its misfire `pattern`, its printed `text` (one
-fill of the template) and its `probability`; its `formula` tree is parsed
-from the text only when asked for.
+the same pass over a universe of one valuation.
+
+A count vector is packed into one int, slot l at bits [w*l, w*(l+1)), with
+2^w > C(m, m // 2) for the m gates of the formula, so a convolution is one
+integer product (Kronecker substitution).  No slot carries into the next:
+every count, final or intermediate, counts patterns of some k <= m gates
+with l correct, at most C(k, l) <= C(m, m // 2) of them; for a product,
+Vandermonde's identity sum_i C(k1, i) C(k2, l - i) = C(k1 + k2, l) says
+so.  The counts of a class are the Bernstein coefficients of its
+polynomial on [0, 1] times C(m, l), so `_expand` gives the monomial form
+by the inverse Bernstein map, one Taylor shift in integers.
+
+Outcomes are enumerated (2^m of them) only where they are the output:
+`ucl outcomes` and o-formulas.  Both start from `outcome_parts`: the
+formula's `outcome_template` and the m+1 probabilities, one per count of
+correct gates.  An `Outcome` carries its misfire `pattern`, its printed
+`text` (one fill of the template) and its `probability`; its `formula`
+tree is parsed from the text only when asked for.
 """
 
 from __future__ import annotations
@@ -34,7 +45,8 @@ from .formulas import (
     CONNECTIVES, App, CFormula, Const, Var, fau, format_cformula,
     outcome_template, parse_cformula, variables,
 )
-from .polynomials import Polynomial, parse_polynomial
+from .polynomials import Polynomial, _over, parse_polynomial
+from .roots import taylor_shift
 
 DEFAULT_MAX_GATES = 24
 # Most variables of a success table: it has 2^n rows, and each class of
@@ -54,14 +66,9 @@ class Outcome(NamedTuple):
 
 
 def _expand(counts: Sequence[int]) -> Polynomial:
-    """Expanded sum of counts[l] * nu^l (1-nu)^(m-l), m = len(counts) - 1."""
-    m = len(counts) - 1
-    coeffs = [0] * (m + 1)
-    for l, c in enumerate(counts):
-        if c:
-            for j in range(m - l + 1):
-                coeffs[l + j] += c * comb(m - l, j) * (-1) ** j
-    return Polynomial(coeffs)
+    """Expanded sum of counts[l] * nu^l (1-nu)^(m-l), m = len(counts) - 1:
+    the inverse of `roots._unit_bernstein`, one Taylor shift by -1."""
+    return _over(taylor_shift(counts[::-1], -1)[::-1], 1)
 
 
 def pattern_probability(pattern: Sequence[bool]) -> Polynomial:
@@ -108,23 +115,17 @@ def outcomes(
         yield Outcome(bits, template % names, by_correct[bits.count(False)])
 
 
-def _convolve_into(acc: list[int], a: Sequence[int], b: Sequence[int]) -> None:
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                acc[i + j] += x * y
-
-
 def _classes(
-    node: CFormula, masks: Mapping[str, int], full: int
-) -> Union[int, list[tuple[list[int], list[int], int]]]:
+    node: CFormula, masks: Mapping[str, int], full: int, w: int
+) -> Union[int, list[tuple[int, int, int]]]:
     """A mask is a set of valuations, bit i for the i-th: `full` holds every
     valuation of the universe, and `masks` maps each variable to those that
     make it True.  A gate-free node gives its truth mask.  Otherwise it
     gives its classes [(t, f, mask)]: the masks partition full, and under
     each valuation of a mask, t[l] (f[l]) counts the misfire patterns of the
     k unreliable gates inside node with exactly l correct under which node
-    is True (False), so t[l] + f[l] = C(k, l)."""
+    is True (False), so t[l] + f[l] = C(k, l).  Count vectors are packed
+    ints, slot l at bits [w*l, w*(l+1)), as the module docstring says."""
     if isinstance(node, Var):
         try:
             return masks[node.name]
@@ -138,7 +139,7 @@ def _classes(
     by = [full]
     gated = []
     for i, arg in enumerate(node.args):
-        sub = _classes(arg, masks, full)
+        sub = _classes(arg, masks, full, w)
         negate = i == 0 and spec.negate_first
         if isinstance(sub, int):
             if negate:
@@ -153,9 +154,9 @@ def _classes(
             if truth[c]:
                 out |= m
         return out
-    # states (by_count, mask): under the valuations of mask, by_count[c][l]
+    # states (by_count, mask): under the valuations of mask, by_count[c]
     # counts the patterns of the arguments so far with c of them True
-    states = [([[0]] * c + [[1]], m) for c, m in enumerate(by) if m]
+    states = [([0] * c + [1], m) for c, m in enumerate(by) if m]
     for sub in gated:
         nxt_states = []
         for by_count, mask in states:
@@ -163,47 +164,40 @@ def _classes(
                 m &= mask
                 if not m:
                     continue
-                width = len(by_count[0]) + len(t) - 1
-                nxt = [[0] * width for _ in range(len(by_count) + 1)]
+                nxt = [0] * (len(by_count) + 1)
                 for c, d in enumerate(by_count):
-                    _convolve_into(nxt[c], d, f)
-                    _convolve_into(nxt[c + 1], d, t)
+                    nxt[c] += d * f
+                    nxt[c + 1] += d * t
                 nxt_states.append((nxt, m))
         states = nxt_states
-    # equal count vectors merge here, at the output, and nowhere before
-    merged: dict[tuple[int, ...], list] = {}
+    # equal count vectors merge here, at the output, and nowhere before;
+    # t fixes f, as t + f packs C(k, l) for every state alike
+    merged: dict[int, int] = {}
     for by_count, mask in states:
-        t = [0] * len(by_count[0])
-        f = [0] * len(by_count[0])
-        for c, d in enumerate(by_count):
-            acc = t if truth[c] else f
-            for l, x in enumerate(d):
-                acc[l] += x
-        key = tuple(t)  # t fixes f, as t[l] + f[l] = C(k, l)
-        if key in merged:
-            merged[key][2] |= mask
-        else:
-            merged[key] = [t, f, mask]
+        t = sum(d for c, d in enumerate(by_count) if truth[c])
+        merged[t] = merged.get(t, 0) | mask
+    total = sum(states[0][0])
+    classes = [(t, total - t, m) for t, m in merged.items()]
     if not conn.unreliable:
-        return [(t, f, m) for t, f, m in merged.values()]
+        return classes
     # a correct gate adds one to l and keeps the value; a misfire flips it
-    return [
-        ([a + b for a, b in zip([0] + t, f + [0])],
-         [a + b for a, b in zip([0] + f, t + [0])], m)
-        for t, f, m in merged.values()
-    ]
+    return [((t << w) + f, (f << w) + t, m) for t, f, m in classes]
 
 
 def _count_classes(
-    psi: CFormula, masks: Mapping[str, int], full: int
+    psi: CFormula, masks: Mapping[str, int], full: int, m: int
 ) -> list[tuple[tuple[int, ...], int]]:
     """(counts, mask) per class of valuations: counts[l] is the number of
-    satisfied misfire patterns with l correct gates under each valuation of
-    the mask."""
-    top = _classes(psi, masks, full)
+    satisfied misfire patterns with l correct of the m gates of psi under
+    each valuation of the mask."""
+    w = comb(m, m // 2).bit_length()
+    top = _classes(psi, masks, full, w)
     if isinstance(top, int):  # a PL formula: the indicator of its truth value
-        return [(c, m) for c, m in (((0,), full ^ top), ((1,), top)) if m]
-    return [(tuple(t), m) for t, _, m in top]
+        return [(c, mask) for c, mask in (((0,), full ^ top), ((1,), top))
+                if mask]
+    slot = (1 << w) - 1
+    return [(tuple(t >> (w * l) & slot for l in range(m + 1)), mask)
+            for t, _, mask in top]
 
 
 def success_polynomial(
@@ -212,10 +206,10 @@ def success_polynomial(
     max_gates: int = DEFAULT_MAX_GATES,
 ) -> Polynomial:
     """Aggregated probability of the outcomes of psi satisfied by the valuation."""
-    _gate_count(psi, max_gates)
+    m = _gate_count(psi, max_gates)
     # a universe of the one valuation
     masks = {name: 1 if value else 0 for name, value in valuation.items()}
-    ((counts, _),) = _count_classes(psi, masks, 1)
+    ((counts, _),) = _count_classes(psi, masks, 1, m)
     return _expand(counts)
 
 
@@ -262,11 +256,11 @@ def success_table(
     names = sorted(variables(psi))
     if len(names) > MAX_VARIABLES:
         raise VariableLimitError(len(names), MAX_VARIABLES)
-    _gate_count(psi, max_gates)
+    m = _gate_count(psi, max_gates)
     size = 1 << len(names)
     rows: list = [None] * size
     masks = _variable_masks(names)
-    for counts, mask in _count_classes(psi, masks, (1 << size) - 1):
+    for counts, mask in _count_classes(psi, masks, (1 << size) - 1, m):
         p = _expand(counts)
         bits = format(mask, "b")[::-1]  # bits[i] is bit i of the mask
         i = bits.find("1")

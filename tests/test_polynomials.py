@@ -286,6 +286,67 @@ def test_simplest_between_is_minimal_denominator(a, b):
             assert not (lo < F(num, den) < hi)
 
 
+def _recursive_simplest_between(lo: F, hi: F) -> F:
+    """The same descent by recursion on Fraction, one call per partial
+    quotient: the reference for inputs too large for a brute-force search."""
+    if lo < 0 < hi:
+        return F(0)
+    if hi <= 0:
+        return -_recursive_simplest_between(-hi, -lo)
+    n = lo.numerator // lo.denominator
+    if lo == n:
+        if hi > n + 1:
+            return F(n + 1)
+        inv = 1 / (hi - n)
+        return n + F(1, inv.numerator // inv.denominator + 1)
+    if hi > n + 1:
+        return F(n + 1)
+    return n + 1 / _recursive_simplest_between(1 / (hi - n), 1 / (lo - n))
+
+
+def _brute_force_simplest(lo: F, hi: F) -> F:
+    """The least denominator with a rational strictly inside (lo, hi), and
+    of its numerators the least in absolute value."""
+    den = 1
+    while True:
+        first = math.floor(lo * den) + 1
+        last = math.ceil(hi * den) - 1
+        if first <= last:
+            return F(first if first > 0 else last if last < 0 else 0, den)
+        den += 1
+
+
+def test_simplest_between_matches_brute_force():
+    rng = random.Random(2026)
+    for _ in range(3000):
+        a, b = (F(rng.randint(-60, 60), rng.randint(1, 60)) for _ in range(2))
+        if a != b:
+            lo, hi = min(a, b), max(a, b)
+            assert simplest_between(lo, hi) == _brute_force_simplest(lo, hi), (lo, hi)
+
+
+def test_simplest_between_matches_the_recursive_descent_on_large_inputs():
+    rng = random.Random(2027)
+    for _ in range(300):
+        lo = F(rng.randint(-(1 << 400), 1 << 400), 1 << 400)
+        hi = lo + F(rng.randint(1, 1 << rng.randint(1, 400)), 1 << 400)
+        assert simplest_between(lo, hi) == _recursive_simplest_between(lo, hi)
+
+
+def test_simplest_between_descends_a_long_continued_fraction():
+    # F_n / F_(n+1) = [0; 1, 1, ..., 1] has n partial quotients, the most for
+    # its size; a call per quotient would pass Python's recursion limit.
+    # Any other rational within 1/(4 F_(n+1)^2) has a denominator > 4 F_(n+1).
+    fib = [0, 1]
+    while len(fib) < 1102:
+        fib.append(fib[-1] + fib[-2])
+    x = F(fib[1100], fib[1101])
+    eps = F(1, 4 * fib[1101] ** 2)
+    assert fib[1101].bit_length() == 764
+    assert simplest_between(x - eps, x + eps) == x
+    assert simplest_between(-x - eps, -x + eps) == -x
+
+
 def test_constants():
     assert ONE == Polynomial([F(1)])
     assert NU(F(5, 7)) == F(5, 7)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from formula_gen import random_cformula
@@ -22,8 +22,10 @@ from uclogic.formulas import (
     variables,
 )
 from uclogic.polynomials import ONE, Polynomial, parse_polynomial
+from uclogic.roots import Interval, bernstein
 from uclogic.semantics import (
     MAX_VARIABLES,
+    _expand,
     AmbitionFormula,
     Interpretation,
     OutcomeFormula,
@@ -382,6 +384,33 @@ def _from_counts(counts: list[int]) -> Polynomial:
     for l, c in enumerate(counts):
         total = total + (nu ** l * (ONE - nu) ** (m - l)).scale(c)
     return total
+
+
+@given(st.lists(st.integers(0, 2**70), min_size=1, max_size=14),
+       st.integers(0, 3))
+@example([0], 0)
+@example([7], 0)
+@example([0, 0, 0], 2)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_expand_inverts_the_bernstein_map(counts, zeros):
+    # trailing zeros keep m and lower the degree of the polynomial
+    t = counts + [0] * zeros
+    p = _expand(t)
+    assert bernstein(p.nums, Interval(0, 1), len(t) - 1) == t
+    assert p == _from_counts(t)
+
+
+@pytest.mark.parametrize("m", [24, 64])
+def test_packed_slots_hold_the_largest_counts(m):
+    # every misfire pattern satisfies (or T G), so for the m unreliable
+    # gates of G its count vector is t[l] = C(m, l): the middle slot holds
+    # the largest count any formula of m gates reaches, and a slot too
+    # narrow for it carries into the next one
+    psi = parse_cformula("(or T " + "(not? " * m + "x" + ")" * m + ")")
+    table = success_table(psi, max_gates=m)
+    assert table == [({"x": False}, ONE), ({"x": True}, ONE)]
+    assert table[0][1] is table[1][1]  # one class
+    assert success_polynomial(psi, {"x": True}, max_gates=m) == ONE
 
 
 def _mixed_formula(rng: random.Random, names: tuple[str, ...]) -> CFormula:
