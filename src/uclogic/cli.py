@@ -16,6 +16,7 @@ import argparse
 import itertools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from math import comb
@@ -25,7 +26,7 @@ from . import algorithms
 from .algebraic import AlgebraicNumber
 from .errors import ParseError, ResourceLimitError, UCLError
 from .formulas import format_cformula, parse_cformula, variables
-from .polynomials import Polynomial, format_polynomial
+from .polynomials import MAX_COEFF_BITS, Polynomial, format_polynomial
 from .roots import Interval
 from .semantics import (
     DEFAULT_MAX_GATES,
@@ -43,6 +44,17 @@ EXIT_GUARD = 3
 
 
 def _fraction(text: str) -> Fraction:
+    # Refused before it is built, by the polynomial parser's literal rule
+    # 10^(d-1) > 2^(3(d-1)): a run of d digits spells over 3(d - 1) bits, and
+    # a decimal exponent e over 3|e|.  Six digits of e are read, as more
+    # spell a value far over the limit.
+    body, _, exp = text.lower().replace("_", "").partition("e")
+    sizes = [len(run) - 1 for run in re.findall(r"\d+", body)]
+    if e := re.search(r"\d+", exp):
+        sizes.append(int(e.group().lstrip("0")[:6] or 0))
+    if 3 * max(sizes, default=0) > MAX_COEFF_BITS:
+        raise argparse.ArgumentTypeError(
+            f"not a rational number of at most {MAX_COEFF_BITS} bits: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

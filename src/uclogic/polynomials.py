@@ -3,9 +3,9 @@
 A polynomial sum_i c_i nu^i is held as integer numerators nums[i] = c_i den,
 constant term first and with no trailing zero, over one denominator den > 0
 that shares no factor with all of them, so equal polynomials have equal
-(nums, den).  Arithmetic, evaluation (`horner`) and signs run in integers
-on this form; `coeffs` makes Fractions for printing and division over Q.
-The variable prints as ``nu``.
+(nums, den).  Arithmetic, division, evaluation (`horner`), signs and the
+parser run in integers on this form; `coeffs` makes Fractions for printing
+only.  The variable prints as ``nu``.
 
 The square-free part is decided modulo the prime 2^61 - 1 first: when the
 prime does not divide the leading numerator and gcd(p, p') is a constant
@@ -90,7 +90,8 @@ class Polynomial:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as Fractions, made anew on every read."""
+        """The coefficients as Fractions, made anew on every read; for
+        printing only, as all arithmetic runs on (nums, den)."""
         return tuple(Fraction(n, self.den) for n in self.nums)
 
     @property
@@ -132,9 +133,10 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         out = [0] * (len(self.nums) + len(other.nums) - 1)
+        terms = [(j, b) for j, b in enumerate(other.nums) if b]
         for i, a in enumerate(self.nums):
             if a:
-                for j, b in enumerate(other.nums):
+                for j, b in terms:
                     out[i + j] += a * b
         return _over(out, self.den * other.den)
 
@@ -144,13 +146,13 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
+        # left to right over the bits of n, so that no power above self^n
+        # is formed
         result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        for bit in bin(n)[2:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def sign_at(self, x: Rat) -> int:
@@ -181,21 +183,29 @@ class Polynomial:
         return _over([i * n for i, n in enumerate(self.nums)][1:], self.den)
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        """Quotient and remainder over Q, by pseudo-division in integers
+        (Knuth, TAOCP Vol. 2, 4.6.1): for A = a/da, B = b/db, l the leading
+        numerator of B and s = |l|^(dq+1), s a = Q b + R with Q and R
+        integral, so A = (Q db / (s da)) B + R / (s da).  Each quotient
+        numerator is then an exact integer quotient by l."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem, divisor = list(self.coeffs), other.coeffs
-        dq = len(rem) - len(divisor)
+        divisor, db = other.nums, other.degree
+        dq = self.degree - db
         if dq < 0:
-            return Polynomial(), self
-        quot = [Fraction(0)] * (dq + 1)
+            return ZERO, self
         lead = divisor[-1]
+        s = abs(lead) ** (dq + 1)
+        rem = [n * s for n in self.nums]
+        quot = [0] * (dq + 1)
         for i in range(dq, -1, -1):
-            c = rem[i + other.degree] / lead
+            c = rem[i + db] // lead
             quot[i] = c
             if c:
                 for j, b in enumerate(divisor):
                     rem[i + j] -= c * b
-        return Polynomial(quot), Polynomial(rem[: other.degree])
+        den = s * self.den
+        return _over([c * other.den for c in quot], den), _over(rem[:db], den)
 
     __divmod__ = divmod
 
@@ -209,7 +219,10 @@ class Polynomial:
         return q
 
     def monic(self) -> "Polynomial":
-        return self.scale(Fraction(self.den, self.nums[-1])) if self.nums else self
+        if not self.nums:
+            return self
+        lead = self.nums[-1]
+        return _over([n if lead > 0 else -n for n in self.nums], abs(lead))
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         a, b = self, other
@@ -287,8 +300,9 @@ MAX_DEPTH = 100
 # power that would exceed the limit is computed.
 MAX_DEGREE = 256
 
-# Largest accepted bit length of a numerator or denominator in a parsed
-# polynomial; a power is checked before it is computed, as for the degree.
+# Largest accepted bit length of the one denominator and of each integer
+# numerator of a parsed polynomial, (nums, den); a power is checked before it
+# is computed, as for the degree.
 MAX_COEFF_BITS = 4096
 
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
@@ -308,46 +322,16 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
-# The parser's values are sparse, exponent -> nonzero coefficient, so that
-# a product with a monomial is a shift and a scale, a power of a monomial is
-# one power of its coefficient, and a sum touches only the exponents of its
-# terms: a canonical bound `c*nu^k + ...` parses in time linear in its text.
-Sparse = dict[int, Fraction]
-
-
-def _degree(p: Sparse) -> int:
-    return max(p, default=-1)
-
-
-def _coeff_bits(coeffs: Iterable[Fraction]) -> int:
-    """Largest bit length of a numerator or denominator of coeffs."""
-    sizes = (max(abs(c.numerator), c.denominator) for c in coeffs)
-    return max(sizes, default=0).bit_length()
-
-
-def _mul(a: Sparse, b: Sparse) -> Sparse:
-    out: Sparse = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            k = i + j
-            out[k] = out[k] + x * y if k in out else x * y
-    return {k: c for k, c in out.items() if c}
-
-
-def _pow(p: Sparse, n: int) -> Sparse:
-    if len(p) == 1:
-        ((j, c),) = p.items()
-        return {j * n: c**n}
-    result: Sparse = {0: Fraction(1)}
-    for bit in bin(n)[2:]:
-        result = _mul(result, result)
-        if bit == "1":
-            result = _mul(result, p)
-    return result
+def _bits(p: Polynomial) -> int:
+    """Bit length of the largest of p's denominator and |numerators|."""
+    return max([p.den, *map(abs, p.nums)]).bit_length()
 
 
 class _PolyParser:
-    """Recursive descent over +, -, *, /, ^ and parentheses."""
+    """Recursive descent over +, -, *, /, ^ and parentheses, computing on
+    Polynomial itself.  Each literal, sum, product and quotient is checked
+    against MAX_COEFF_BITS as it is formed; a product's degree, and a power's
+    degree and a bound on its bits, are checked before it is computed."""
 
     def __init__(self, text: str, var: str):
         self.tokens = _tokenize(text)
@@ -370,52 +354,37 @@ class _PolyParser:
         if self.i < len(self.tokens):
             tok, pos = self.tokens[self.i]
             raise ParseError(f"unexpected token {tok!r}", pos)
-        return Polynomial([p.get(k, 0) for k in range(_degree(p) + 1)])
+        return p
 
-    def expr(self) -> Sparse:
+    def expr(self) -> Polynomial:
         if self.peek() == "-":
             self.next()
-            acc = {k: -c for k, c in self.term().items()}
+            acc = -self.term()
         else:
             if self.peek() == "+":
                 self.next()
             acc = self.term()
-        # Each sum is checked, as a whole; only the first term and the
-        # coefficients the last term touched can be over the limit there.
-        unchecked = list(acc)
         while self.peek() in ("+", "-"):
             op, pos = self.next()
             t = self.term()
-            for k, c in t.items():
-                if k in acc:
-                    c = acc[k] + c if op == "+" else acc[k] - c
-                elif op == "-":
-                    c = -c
-                if c:
-                    acc[k] = c
-                else:
-                    del acc[k]
-            touched = (acc[k] for k in (*unchecked, *t) if k in acc)
-            self.check_bits(_coeff_bits(touched), pos)
-            unchecked = []
+            acc = self.checked(acc + t if op == "+" else acc - t, pos)
         return acc
 
-    def term(self) -> Sparse:
+    def term(self) -> Polynomial:
         acc = self.power()
         while self.peek() in ("*", "/"):
             op, pos = self.next()
             rhs = self.power()
             if op == "*":
-                self.check_degree(_degree(acc) + _degree(rhs), pos)
-                acc = self.check_coeffs(_mul(acc, rhs), pos)
+                self.check_degree(acc.degree + rhs.degree, pos)
+                acc = self.checked(acc * rhs, pos)
             else:
-                if list(rhs) != [0]:
+                if rhs.degree != 0:
                     raise ParseError("division only by a nonzero constant", pos)
-                k = 1 / rhs[0]
-                acc = self.check_coeffs({e: c * k for e, c in acc.items()}, pos)
+                acc = self.checked(acc.scale(Fraction(rhs.den, rhs.nums[0])), pos)
         return acc
 
-    def power(self) -> Sparse:
+    def power(self) -> Polynomial:
         base = self.atom()
         if self.peek() in ("^", "**"):
             _, pos = self.next()
@@ -427,16 +396,12 @@ class _PolyParser:
                 raise ParseError(
                     f"exponent {n} exceeds the degree limit of {MAX_DEGREE}", tpos
                 )
-            degree = _degree(base)
-            self.check_degree(degree * n, tpos)
+            self.check_degree(base.degree * n, tpos)
             # base = B / L for integers B over one denominator L, so base^n
             # = B^n / L^n, and a coefficient of B^n sums at most t^n products
             # of n of the t = degree + 1 integer coefficients of B
-            b = Polynomial(base.values())
-            size = max([b.den, *map(abs, b.nums)])
-            bits = n * (size.bit_length() + (degree + 1).bit_length())
-            self.check_bits(bits, tpos)
-            return _pow(base, n)
+            self.check_bits(n * (_bits(base) + (base.degree + 1).bit_length()), tpos)
+            return base**n
         return base
 
     def check_degree(self, degree: int, pos: int) -> None:
@@ -451,11 +416,11 @@ class _PolyParser:
                 f"coefficients over the limit of {MAX_COEFF_BITS} bits", pos
             )
 
-    def check_coeffs(self, p: Sparse, pos: int) -> Sparse:
-        self.check_bits(_coeff_bits(p.values()), pos)
+    def checked(self, p: Polynomial, pos: int) -> Polynomial:
+        self.check_bits(_bits(p), pos)
         return p
 
-    def atom(self) -> Sparse:
+    def atom(self) -> Polynomial:
         tok, pos = self.next()
         if tok in ("(", "-"):
             if self.depth == MAX_DEPTH:
@@ -469,15 +434,14 @@ class _PolyParser:
                 if close != ")":
                     raise ParseError("expected ')'", cpos)
             else:
-                p = {k: -c for k, c in self.atom().items()}
+                p = -self.atom()
             self.depth -= 1
             return p
         if tok.isdigit():
             self.check_bits(3 * (len(tok) - 1), pos)  # 10^(d-1) > 2^(3(d-1))
-            c = int(tok)
-            return self.check_coeffs({0: Fraction(c)} if c else {}, pos)
+            return self.checked(_over([int(tok)], 1), pos)
         if tok == self.var:
-            return {1: Fraction(1)}
+            return NU
         raise ParseError(f"unexpected token {tok!r}", pos)
 
 

@@ -394,6 +394,47 @@ def test_ambition_coefficient_limit_exits_two(capsys):
         assert time.perf_counter() - started < 1.0, bound
 
 
+def test_wide_bound_exits_two(capsys):
+    # 120 terms nu^k / (2^2000 + 2k + 1), each literal in decimal: every term
+    # is within the limit, and the sum's one denominator passes it at the
+    # second `+` (a position counts from the first character after "<=")
+    bound = " + ".join(f"nu^{k}/{2**2000 + 2 * k + 1}" for k in range(120))
+    position = bound.index("+", bound.index("+") + 1) + 1
+    started = time.perf_counter()
+    code, _, err = run(capsys, "entails", "-f", "(or? x (not? x))",
+                       "--gamma", f"mu <= {bound}")
+    assert code == 2 and err == (
+        "error: coefficients over the limit of 4096 bits "
+        f"(at position {position})\n")
+    assert time.perf_counter() - started < 1.0
+
+
+def test_huge_rational_literals_exit_two(capsys):
+    # refused before the Fraction is built: 1e-10000000 alone takes seconds
+    f = "(or? x (not? x))"
+    for option in (["abduce", "-f", f, "--k", "4", "--mu"],
+                   ["decide-rate", "-f", f, "--mu"],
+                   ["eval", "-f", f, "--assign", "x=1", "--mu", "3/4", "--nu"],
+                   ["sat", "-f", f, "--eps"]):
+        for value in ("1e-99999999", "1e-10000000", "1E+1366", "1e" + "9" * 5000,
+                      "1/" + "9" * 1400, "0.1_0e-0001_367"):
+            started = time.perf_counter()
+            with pytest.raises(SystemExit) as exc:
+                main([*option, value])
+            err = capsys.readouterr().err
+            assert exc.value.code == 2 and "Traceback" not in err
+            assert err.endswith(
+                f"error: argument {option[-1]}: not a rational number of at "
+                f"most 4096 bits: {value!r}\n"), (option, value)
+            assert time.perf_counter() - started < 1.0, (option, value)
+    # within the limit, the value itself is checked
+    code, _, err = run(capsys, "abduce", "-f", f, "--mu", "1e-1365", "--k", "4")
+    assert code == 2 and err.startswith(
+        "error: target success rate must lie in (1/2, 1]")
+    code, doc = run_json(capsys, "abduce", "-f", f, "--mu", "0.7e0", "--k", "4")
+    assert code == 0 and doc["payload"]["mu"] == "7/10"
+
+
 def test_eps_limit_exits_two(capsys):
     # an irrational optimum, so the certified pair refines it to about eps
     psi = "(nand? (not (xor? y y)) (iff? (xor (not y) x) x))"

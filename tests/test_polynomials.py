@@ -187,7 +187,9 @@ def test_coefficient_limit():
         # is a power of their lcm; computed, the first two take from tens of
         # seconds to minutes
         _sum_over(2**109 + 2 * k + 1 for k in range(9)) + "^32": 369,
-        _sum_over(2**499 + 2 * k + 1 for k in range(33)) + "^8": 5270,
+        # the sum itself, at the first `+` where its one denominator, the
+        # lcm of the terms' 500-bit ones, passes the limit
+        _sum_over(2**499 + 2 * k + 1 for k in range(33)) + "^8": 1271,
         _sum_over(2**59 + 2 * k + 1 for k in range(4)) + "^60": 104,
         "(1/1073741789 + nu/1073741783 + nu^2/1073741827)^120": 49,
         "(2^200)^20 * (2^200)^20": 11,  # a product
@@ -584,3 +586,102 @@ def test_equal_polynomials_built_apart_are_one(a, b):
     ]:
         _canonical(x)
         assert x == y and hash(x) == hash(y) and (x.nums, x.den) == (y.nums, y.den)
+
+
+# --- division in integers, against the Fraction long division --------------
+
+def _long_division(a, b):
+    """Quotient and remainder of coefficient tuples a by b, constant term
+    first, by long division over Fractions."""
+    rem, dq = [F(c) for c in a], len(a) - len(b)
+    if dq < 0:
+        return (), _trim(a)
+    quot = [F(0)] * (dq + 1)
+    for i in range(dq, -1, -1):
+        c = rem[i + len(b) - 1] / b[-1]
+        quot[i] = c
+        if c:
+            for j, y in enumerate(b):
+                rem[i + j] -= c * y
+    return _trim(quot), _trim(rem[: len(b) - 1])
+
+
+def test_divmod_matches_the_fraction_long_division():
+    rng = random.Random(23)
+
+    def coefficients(n):
+        cs = [F(rng.randint(-10**6, 10**6), rng.choice([1, rng.randint(1, 10**4)]))
+              for _ in range(n)]
+        if cs and not cs[-1]:
+            cs[-1] = F(-7, 3)
+        return cs
+
+    seen = set()
+    for _ in range(800):
+        db = rng.choice([0, 0, rng.randint(1, 7)])
+        a = coefficients(max(db + rng.randint(-2, 9), 0))
+        b = coefficients(db + 1)
+        p, q = Polynomial(a), Polynomial(b)
+        quo, rem = divmod(p, q)
+        assert (_canonical(quo), _canonical(rem)) == _long_division(a, b), (a, b)
+        dq = p.degree - q.degree
+        seen |= {("dq", dq % 2) if dq >= 0 else ("dq", "negative"),
+                 ("lead", q.nums[-1] < 0), ("den", q.den > 1),
+                 ("den", p.den > 1), ("constant", q.degree == 0)}
+    assert seen == {("dq", 0), ("dq", 1), ("dq", "negative"), ("lead", True),
+                    ("lead", False), ("den", True), ("den", False),
+                    ("constant", True), ("constant", False)}
+
+
+def test_division_reads_no_fraction_coefficient(monkeypatch):
+    from uclogic.algebraic import scalar_resultant
+
+    p = (NU * NU - Polynomial([2])) * Polynomial([F(-1, 3), F(5, 7)]) ** 2
+    q = p.derivative().scale(F(-9, 4))
+    want = (divmod(p, q), p.gcd(q), q.monic(), p.exact_div(p.gcd(q)),
+            sturm_sequence(p), scalar_resultant(p, q))
+    assert want[1] == Polynomial([F(-7, 15), 1]) and want[5] == 0
+
+    def refuse(self):
+        raise AssertionError("coeffs read")
+
+    monkeypatch.setattr(Polynomial, "coeffs", property(refuse))
+    assert (divmod(p, q), p.gcd(q), q.monic(), p.exact_div(p.gcd(q)),
+            sturm_sequence(p), scalar_resultant(p, q)) == want
+
+
+def test_power_forms_no_power_above_its_own(monkeypatch):
+    degrees = []
+    mul = Polynomial.__mul__
+
+    def recorded(self, other):
+        out = mul(self, other)
+        degrees.append(out.degree)
+        return out
+
+    monkeypatch.setattr(Polynomial, "__mul__", recorded)
+    assert (NU + ONE) ** 256 == parse_polynomial("(nu + 1)^256")
+    assert max(degrees) == 256
+
+
+# --- the coefficient limit on the stored form -------------------------------
+
+def _wide_bound(terms, bits):
+    """nu^k / (2^bits + 2k + 1) for k < terms, each literal in decimal: every
+    term is well within the limit, their sum's one denominator is not."""
+    return " + ".join(f"nu^{k}/{2**bits + 2 * k + 1}" for k in range(terms))
+
+
+def test_sums_are_checked_on_their_one_denominator():
+    for terms, bits, fit in ((120, 2000, 2), (60, 1000, 4)):
+        assert parse_polynomial(_wide_bound(fit, bits)).den.bit_length() > 4000
+        # refused at the `+` after the first `fit` terms, where the sum's
+        # denominator passes 4096 bits
+        text = _wide_bound(terms, bits)
+        position = len(_wide_bound(fit, bits)) + 1
+        started = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial(text)
+        assert str(exc.value) == (
+            f"coefficients over the limit of 4096 bits (at position {position})")
+        assert time.perf_counter() - started < 1.0
